@@ -2,7 +2,6 @@
 #define POLARMP_CLUSTER_STANDBY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -10,7 +9,7 @@
 #include "common/lock_rank.h"
 #include "engine/row.h"
 #include "storage/log_store.h"
-#include "wal/log_record.h"
+#include "wal/redo_applier.h"
 
 namespace polarmp {
 
@@ -19,18 +18,17 @@ namespace polarmp {
 // cluster are synchronized to the standby cluster using the write-ahead
 // log").
 //
-// The replicator tails every primary node's redo stream and continuously
-// applies the records to its own page store using the same LLSN-gated,
-// chunk-merged application as crash recovery — the standby is, in effect, a
-// perpetually-recovering cluster. Applied state is crash-consistent at
-// every instant: reads (`ScanTable`) see a transactionally-unsplit prefix
-// only after `WaitForCatchUp` on a quiesced primary, which is how the
-// cross-region failover runbook uses it.
-class StandbyReplicator {
+// The replicator tails every primary node's redo stream through the redo
+// applier of crash recovery (wal/redo_applier.h), with streams that have no
+// end and a zero-filled page map: the standby is, in effect, a
+// perpetually-recovering cluster. A record that fails to apply stays
+// pending, so replication stops there and LagBytes/WaitForCatchUp show it.
+// Reads (`ScanTable`) see a transactionally-unsplit prefix only after
+// `WaitForCatchUp` on a quiesced primary, as the failover runbook uses it.
+class StandbyReplicator : private RedoPageSource {
  public:
   struct Options {
     uint64_t poll_interval_ms = 20;
-    uint64_t chunk_bytes = 1 << 20;
     uint32_t page_size = 8192;
   };
 
@@ -63,22 +61,22 @@ class StandbyReplicator {
 
  private:
   void ReplicationLoop();
-  // Drains whatever is durable beyond our cursors; returns records applied.
-  StatusOr<uint64_t> ApplyAvailable() EXCLUDES(mu_);
-  Status ApplyRecord(const LogRecord& rec) REQUIRES(mu_);
-  StatusOr<char*> PageFor(PageId page_id) REQUIRES(mu_);
+  // Applies whatever is durable beyond the merge's cursors, stopping at
+  // the first record that fails to apply.
+  Status ApplyAvailable() EXCLUDES(mu_);
+  // The standby's pages are zero-filled on first touch, written by redo.
+  StatusOr<char*> PageForRedo(PageId page_id) override REQUIRES(mu_);
+  // nullptr if no record has touched the page.
+  const char* FindPage(PageId page_id) const REQUIRES(mu_);
 
   LogStore* const primary_log_;
   const Options options_;
 
   mutable RankedMutex mu_{LockRank::kStandby, "standby.apply"};
   CondVar cv_;
-  std::map<NodeId, Lsn> cursors_ GUARDED_BY(mu_);
-  // Undecoded tails per stream.
-  std::map<NodeId, std::string> partial_ GUARDED_BY(mu_);
-  // Decoded LLSN horizon per stream.
-  std::map<NodeId, Llsn> high_llsn_ GUARDED_BY(mu_);
-  std::unordered_map<uint64_t, std::unique_ptr<char[]>> cache_ GUARDED_BY(mu_);
+  RedoMerge merge_ GUARDED_BY(mu_);
+  std::unordered_map<uint64_t, std::unique_ptr<char[]>> pages_
+      GUARDED_BY(mu_);
   uint64_t records_applied_ GUARDED_BY(mu_) = 0;
 
   // Set in Start under stop_mu_; joined in Stop after the stop_ handshake,

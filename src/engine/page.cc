@@ -107,8 +107,6 @@ size_t Page::FreeSpace() const {
   return (SlotDirStart() - heap_top()) + garbage();
 }
 
-size_t Page::UsedSpace() const { return page_size_ - FreeSpace() - kHeaderSize; }
-
 bool Page::HasRoomFor(size_t row_size) const {
   // Worst case needs a new slot entry as well.
   return FreeSpace() >= row_size + 2;
@@ -255,13 +253,6 @@ void Page::TruncateFromKey(int64_t from_key) {
     rows.emplace_back(buf_ + o, RowSizeAt(buf_ + o));
   }
   RebuildFrom(rows);
-}
-
-void Page::CopyAllRows(std::string* out) const {
-  for (int i = 0; i < nslots(); ++i) {
-    const uint16_t o = SlotOffset(i);
-    out->append(buf_ + o, RowSizeAt(buf_ + o));
-  }
 }
 
 Status Page::LoadRows(Slice images) {

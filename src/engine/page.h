@@ -72,15 +72,12 @@ class Page {
   bool HasRoomFor(size_t row_size) const;
   // Free bytes (contiguous + reclaimable garbage).
   size_t FreeSpace() const;
-  size_t UsedSpace() const;
 
   // Moves the upper half of the rows (by slot order) into `right`, which
   // must be an empty initialized page. Returns the first key moved (the
   // separator). Used by splits.
   int64_t MoveUpperHalfTo(Page* right);
 
-  // Copies every row (slot order) into `out` as concatenated images.
-  void CopyAllRows(std::string* out) const;
   // Copies rows in slot range [from, to) as concatenated images.
   std::string CopyRowsInRange(int from, int to) const;
   // Drops every row with key >= from_key (split left-half truncation).

@@ -79,6 +79,7 @@ class UndoStore {
 
   uint64_t head(NodeId node) const;
   uint64_t tail(NodeId node) const;
+  uint64_t segment_bytes() const { return capacity_; }
 
  private:
   struct Segment {
@@ -95,10 +96,6 @@ class UndoStore {
     // Serializes appenders only; readers go through the atomic cursors.
     RankedMutex append_mu{LockRank::kUndoSegment, "undo.segment_append"};
   };
-
-  // Maps a logical offset + length to a non-wrapping physical range,
-  // applying the skip-padding rule used by Append.
-  uint64_t Physical(uint64_t offset) const { return offset % capacity_; }
 
   Dsm* const dsm_;
   const uint64_t capacity_;

@@ -37,15 +37,6 @@ struct LogRecord {
   uint64_t aux = 0;      // CTS (kTrxCommit) or undo offset (kUndoAppend)
   std::string body;
 
-  bool IsPageRecord() const {
-    return type == LogRecordType::kInitPage ||
-           type == LogRecordType::kWriteRow ||
-           type == LogRecordType::kRemoveRow ||
-           type == LogRecordType::kSetPageLinks ||
-           type == LogRecordType::kLoadRows ||
-           type == LogRecordType::kTruncateRows;
-  }
-
   void AppendTo(std::string* dst) const;
   std::string Encode() const;
 

@@ -1,11 +1,8 @@
 #include "wal/recovery.h"
 
 #include <algorithm>
-#include <cstring>
-#include <deque>
 #include <set>
 
-#include "common/coding.h"
 #include "engine/btree.h"
 #include "engine/page.h"
 
@@ -25,8 +22,7 @@ StatusOr<Recovery::CachedPage*> Recovery::GetPage(PageId page_id) {
   auto it = cache_.find(page_id.Pack());
   if (it != cache_.end()) return &it->second;
   CachedPage cp;
-  cp.data = std::make_unique<char[]>(page_size_);
-  std::memset(cp.data.get(), 0, page_size_);
+  cp.data = std::make_unique<char[]>(page_size_);  // zeroed
   // DBP first — a node crash leaves disaggregated memory intact, which is
   // what makes recovery fast (§5.5); storage is the fallback.
   if (buffer_fusion_ != nullptr && buffer_fusion_->HasValidPage(page_id)) {
@@ -43,192 +39,55 @@ StatusOr<Recovery::CachedPage*> Recovery::GetPage(PageId page_id) {
       return s;
     }
   }
-  auto [pos, inserted] = cache_.emplace(page_id.Pack(), std::move(cp));
-  (void)inserted;
-  return &pos->second;
+  return &cache_.emplace(page_id.Pack(), std::move(cp)).first->second;
 }
 
-Status Recovery::ApplyRecord(const LogRecord& rec) {
-  ++stats_.records_scanned;
-  switch (rec.type) {
-    case LogRecordType::kUndoAppend: {
-      if (options_.rebuild_undo) {
-        POLARMP_RETURN_IF_ERROR(
-            undo_store_->WriteRaw(rec.node, rec.aux, rec.body));
-        stats_.undo_bytes_rebuilt += rec.body.size();
-      }
-      return Status::OK();
-    }
-    case LogRecordType::kTrxCommit:
-    case LogRecordType::kTrxRollbackEnd:
-    case LogRecordType::kLlsnMark:
-      return Status::OK();  // tracked by the caller / pure horizon marker
-    default:
-      break;
-  }
-  POLARMP_ASSIGN_OR_RETURN(CachedPage* cp, GetPage(rec.page_id));
-  Page page(cp->data.get(), page_size_);
-  if (cp->exists && page.llsn() >= rec.llsn) {
-    ++stats_.page_records_skipped;
-    return Status::OK();
-  }
-  switch (rec.type) {
-    case LogRecordType::kInitPage: {
-      if (rec.body.size() < 9) return Status::Corruption("bad kInitPage");
-      const uint8_t level = static_cast<uint8_t>(rec.body[0]);
-      const PageNo prev = DecodeFixed32(rec.body.data() + 1);
-      const PageNo next = DecodeFixed32(rec.body.data() + 5);
-      page.Init(rec.page_id, level, prev, next);
-      break;
-    }
-    case LogRecordType::kWriteRow:
-      POLARMP_RETURN_IF_ERROR(page.WriteRow(rec.body));
-      break;
-    case LogRecordType::kRemoveRow: {
-      if (rec.body.size() < 8) return Status::Corruption("bad kRemoveRow");
-      const int64_t key = static_cast<int64_t>(DecodeFixed64(rec.body.data()));
-      const Status s = page.RemoveRow(key);
-      if (!s.ok() && !s.IsNotFound()) return s;
-      break;
-    }
-    case LogRecordType::kSetPageLinks: {
-      if (rec.body.size() < 8) return Status::Corruption("bad kSetPageLinks");
-      page.set_links(DecodeFixed32(rec.body.data()),
-                     DecodeFixed32(rec.body.data() + 4));
-      break;
-    }
-    case LogRecordType::kLoadRows:
-      POLARMP_RETURN_IF_ERROR(page.LoadRows(rec.body));
-      break;
-    case LogRecordType::kTruncateRows:
-      page.TruncateFromKey(static_cast<int64_t>(rec.aux));
-      break;
-    default:
-      return Status::Corruption("unknown record type");
-  }
-  page.set_llsn(rec.llsn);
-  cp->exists = true;
-  cp->dirty = true;
-  recovery_llsn_ = std::max(recovery_llsn_, rec.llsn);
-  ++stats_.page_records_applied;
-  return Status::OK();
+StatusOr<char*> Recovery::PageForRedo(PageId page_id) {
+  POLARMP_ASSIGN_OR_RETURN(CachedPage* cp, GetPage(page_id));
+  return cp->data.get();
 }
 
 StatusOr<std::vector<Recovery::UncommittedTrx>> Recovery::RedoReplay(
     const std::vector<NodeId>& nodes) {
-  struct Stream {
-    NodeId node;
-    Lsn next_read = 0;
-    Lsn end = 0;
-    std::string partial;       // undecoded tail of the last chunk
-    std::deque<LogRecord> pending;
-    Llsn last_read_llsn = 0;   // max LLSN decoded so far
-    bool exhausted = false;
-  };
-  std::vector<Stream> streams;
+  RedoMerge merge(log_store_);
   for (NodeId node : nodes) {
     if (!log_store_->LogExists(node)) continue;
-    Stream s;
-    s.node = node;
-    POLARMP_ASSIGN_OR_RETURN(s.next_read, log_store_->GetCheckpoint(node));
-    POLARMP_ASSIGN_OR_RETURN(s.end, log_store_->DurableLsn(node));
-    s.exhausted = s.next_read >= s.end;
-    streams.push_back(std::move(s));
+    POLARMP_ASSIGN_OR_RETURN(const Lsn from, log_store_->GetCheckpoint(node));
+    POLARMP_ASSIGN_OR_RETURN(const Lsn end, log_store_->DurableLsn(node));
+    merge.AddStream(node, from, end);
     POLARMP_RETURN_IF_ERROR(undo_store_->AddNode(node));
   }
+  UndoStore* const undo = options_.rebuild_undo ? undo_store_ : nullptr;
 
   std::unordered_map<GTrxId, UndoPtr> last_undo;
   std::set<GTrxId> finished;
-
-  auto all_done = [&] {
-    for (const Stream& s : streams) {
-      if (!s.exhausted || !s.pending.empty()) return false;
-    }
-    return true;
-  };
-
-  while (!all_done()) {
-    // Fill phase: one chunk per non-exhausted stream (the paper's "only
-    // reads a chunk of data from each file" batching).
-    for (Stream& s : streams) {
-      if (s.exhausted || !s.pending.empty()) continue;
-      std::string chunk;
-      POLARMP_RETURN_IF_ERROR(log_store_->ReadAt(
-          s.node, s.next_read, options_.chunk_bytes, &chunk));
-      s.next_read += chunk.size();
-      s.partial += chunk;
-      size_t pos = 0;
-      while (pos < s.partial.size()) {
-        size_t consumed = 0;
-        auto rec = LogRecord::Decode(
-            std::string_view(s.partial).substr(pos), &consumed);
-        if (!rec.ok()) break;  // incomplete tail; next chunk completes it
-        if (rec.value().llsn > 0) {
-          s.last_read_llsn = std::max(s.last_read_llsn, rec.value().llsn);
-        }
-        s.pending.push_back(std::move(rec).value());
-        pos += consumed;
-      }
-      s.partial.erase(0, pos);
-      if (s.next_read >= s.end) {
-        if (!s.partial.empty()) {
-          return Status::Corruption("torn record at end of node log " +
-                                    std::to_string(s.node));
-        }
-        s.exhausted = true;
-      }
-    }
-    // LLSN_bound: every unread record's LLSN exceeds it (§4.4).
-    Llsn bound = UINT64_MAX;
-    for (const Stream& s : streams) {
-      if (!s.exhausted) bound = std::min(bound, s.last_read_llsn);
-    }
-    // Apply phase: gather every record at or below the bound from all
-    // streams, then apply them IN LLSN ORDER — the partial order only
-    // guarantees per-page correctness if same-page records from different
-    // nodes interleave by LLSN, not stream by stream (§4.4: the batch below
-    // LLSN_bound is sorted before application).
-    std::vector<LogRecord> batch;
-    for (Stream& s : streams) {
-      while (!s.pending.empty()) {
-        const LogRecord& front = s.pending.front();
-        const bool is_txn_record = front.llsn == 0;
-        if (!is_txn_record && front.llsn > bound) break;
-        batch.push_back(std::move(s.pending.front()));
-        s.pending.pop_front();
-      }
-    }
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const LogRecord& a, const LogRecord& b) {
-                       return a.llsn < b.llsn;
-                     });
-    const bool progressed = !batch.empty();
-    for (const LogRecord& rec : batch) {
-      if (rec.type == LogRecordType::kTrxCommit) {
-        finished.insert(rec.trx);
+  while (!merge.Done()) {
+    POLARMP_ASSIGN_OR_RETURN(const bool progressed, merge.Step());
+    if (!progressed) return Status::Internal("recovery merge stalled");
+    while (const LogRecord* rec = merge.Front()) {
+      ++stats_.records_scanned;
+      POLARMP_ASSIGN_OR_RETURN(
+          const RedoOutcome outcome,
+          ApplyRedoRecord(*rec, page_size_, this, undo));
+      if (outcome == RedoOutcome::kPageApplied) {
+        CachedPage& cp = cache_.at(rec->page_id.Pack());
+        cp.exists = cp.dirty = true;
+        recovery_llsn_ = std::max(recovery_llsn_, rec->llsn);
+        ++stats_.page_records_applied;
+      } else if (outcome == RedoOutcome::kPageSkipped) {
+        ++stats_.page_records_skipped;
+      } else if (rec->type == LogRecordType::kTrxCommit) {
+        finished.insert(rec->trx);
         ++stats_.committed_trxs;
-        ++stats_.records_scanned;
-      } else if (rec.type == LogRecordType::kTrxRollbackEnd) {
-        finished.insert(rec.trx);
-        ++stats_.records_scanned;
-      } else {
-        POLARMP_RETURN_IF_ERROR(ApplyRecord(rec));
-        if (rec.type == LogRecordType::kUndoAppend) {
-          auto undo_rec = UndoRecord::Decode(rec.body);
-          POLARMP_RETURN_IF_ERROR(undo_rec.status());
-          last_undo[undo_rec.value().trx] = MakeUndoPtr(rec.node, rec.aux);
-        }
+      } else if (rec->type == LogRecordType::kTrxRollbackEnd) {
+        finished.insert(rec->trx);
+      } else if (rec->type == LogRecordType::kUndoAppend) {
+        if (undo != nullptr) stats_.undo_bytes_rebuilt += rec->body.size();
+        POLARMP_ASSIGN_OR_RETURN(UndoRecord undo_rec,
+                                 UndoRecord::Decode(rec->body));
+        last_undo[undo_rec.trx] = MakeUndoPtr(rec->node, rec->aux);
       }
-    }
-    if (!progressed && !all_done()) {
-      // Should be impossible: either a fill added data or a bound advanced.
-      bool any_fillable = false;
-      for (const Stream& s : streams) {
-        if (!s.exhausted && s.pending.empty()) any_fillable = true;
-      }
-      if (!any_fillable) {
-        return Status::Internal("recovery merge stalled");
-      }
+      merge.Pop();
     }
   }
 

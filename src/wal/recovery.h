@@ -1,7 +1,6 @@
 #ifndef POLARMP_WAL_RECOVERY_H_
 #define POLARMP_WAL_RECOVERY_H_
 
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "storage/log_store.h"
 #include "storage/page_store.h"
 #include "wal/log_record.h"
+#include "wal/redo_applier.h"
 
 namespace polarmp {
 
@@ -26,25 +26,19 @@ struct RecoveryStats {
   uint64_t offline_rolled_back = 0;
 };
 
-// Crash recovery (§4.4).
+// Crash recovery (§4.4), for a full restart, a single-node restart and an
+// online takeover.
 //
-// Redo replay follows the paper's chunked merge: read one chunk from every
-// participating node's log, compute LLSN_bound — the smallest last-read
-// LLSN across the chunks, which no remaining record can undershoot because
-// each node's stream is LLSN-monotone — apply every record with
-// llsn <= LLSN_bound, carry the rest into the next round. A record applies
-// to its page iff the page's LLSN stamp is older, which makes replay
-// idempotent and, combined with the bound, replays every page's records in
-// generation order.
-//
-// Pages are sourced from the DBP when it survived (a node crash leaves the
-// disaggregated memory intact — the §5.5 fast path) and from shared
-// storage otherwise. kUndoAppend records rebuild the undo store before any
-// rollback runs.
-class Recovery {
+// Redo replay runs on the shared redo applier (wal/redo_applier.h): a
+// RedoMerge over the participating nodes' logs, each from its checkpoint to
+// its durable end, feeding ApplyRedoRecord. Recovery is the applier's page
+// source: pages come from the DBP when it survived (a node crash leaves the
+// disaggregated memory intact — the §5.5 fast path) and from shared storage
+// otherwise, and stay cached and dirty-tracked until FlushPages.
+// kUndoAppend records rebuild the undo store before any rollback runs.
+class Recovery : private RedoPageSource {
  public:
   struct Options {
-    uint64_t chunk_bytes = 1 << 20;
     // Endpoint charged for DBP page fetches (the recovering node).
     EndpointId reader = kPmfsEndpoint;
     // Replay kUndoAppend records into the undo store. A full restart needs
@@ -99,7 +93,7 @@ class Recovery {
   };
 
   StatusOr<CachedPage*> GetPage(PageId page_id);
-  Status ApplyRecord(const LogRecord& rec);
+  StatusOr<char*> PageForRedo(PageId page_id) override;
   // Descends the recovered tree of `space` to the leaf owning `key`.
   StatusOr<CachedPage*> FindLeaf(SpaceId space, int64_t key);
   Llsn NextRecoveryLlsn() { return ++recovery_llsn_; }

@@ -100,14 +100,19 @@ TEST(LogRecordTest, EncodeDecodeRoundTrip) {
 }
 
 TEST(LogRecordTest, AllConstructors) {
-  EXPECT_TRUE(MakeInitPage(1, 2, PageId{1, 0}, 3, 4, 5).IsPageRecord());
-  EXPECT_TRUE(MakeRemoveRow(1, 2, PageId{1, 0}, -9).IsPageRecord());
-  EXPECT_TRUE(MakeSetPageLinks(1, 2, PageId{1, 0}, 4, 5).IsPageRecord());
-  EXPECT_TRUE(MakeLoadRows(1, 2, PageId{1, 0}, "x").IsPageRecord());
-  EXPECT_TRUE(MakeTruncateRows(1, 2, PageId{1, 0}, 10).IsPageRecord());
-  EXPECT_FALSE(MakeUndoAppend(1, 2, 30, "u").IsPageRecord());
-  EXPECT_FALSE(MakeTrxCommit(1, 99, 100).IsPageRecord());
-  EXPECT_FALSE(MakeTrxRollbackEnd(1, 99).IsPageRecord());
+  EXPECT_EQ(MakeInitPage(1, 2, PageId{1, 0}, 3, 4, 5).type,
+            LogRecordType::kInitPage);
+  EXPECT_EQ(MakeRemoveRow(1, 2, PageId{1, 0}, -9).type,
+            LogRecordType::kRemoveRow);
+  EXPECT_EQ(MakeSetPageLinks(1, 2, PageId{1, 0}, 4, 5).type,
+            LogRecordType::kSetPageLinks);
+  EXPECT_EQ(MakeLoadRows(1, 2, PageId{1, 0}, "x").type,
+            LogRecordType::kLoadRows);
+  EXPECT_EQ(MakeTruncateRows(1, 2, PageId{1, 0}, 10).type,
+            LogRecordType::kTruncateRows);
+  EXPECT_EQ(MakeUndoAppend(1, 2, 30, "u").type, LogRecordType::kUndoAppend);
+  EXPECT_EQ(MakeTrxCommit(1, 99, 100).type, LogRecordType::kTrxCommit);
+  EXPECT_EQ(MakeTrxRollbackEnd(1, 99).type, LogRecordType::kTrxRollbackEnd);
   // Commit record carries trx + cts in aux.
   const LogRecord commit = MakeTrxCommit(1, 99, 100);
   size_t n;
