@@ -115,10 +115,13 @@ bool IndexCache::RouteHop(PageId page, int64_t key, PageNo* child,
 
 Status IndexCache::RefreshSlot(Slot* slot) {
   // Clear-before-read: a push that lands after the clear re-flags the
-  // slot, so a refresh can never mask a newer version. Reading a version
-  // that is itself already stale (e.g. the local LBP holds a dirty, newer
-  // image) is benign — stale routes land left of the key's home and the
-  // B-link right-walk heals them.
+  // slot, so a refresh can never mask a newer version. Flags are set only
+  // by pushes, and a split installs the images it rewrote straight from
+  // the LBP, so the DBP copy read here is normally the page's newest
+  // version. It can still be behind when another node splits the page
+  // again before this read (its newer image is not yet pushed); that is
+  // benign — stale routes land left of the key's home and the B-link
+  // right-walk heals them.
   invalid_flags_[slot->index].store(0, std::memory_order_release);
   uint64_t seq = 0;
   one_sided_refreshes_.Inc();
@@ -253,15 +256,6 @@ void IndexCache::NotePushed(PageId page) {
   if (!enabled()) return;
   MutexLock lock(mu_);
   not_in_dbp_.erase(page.Pack());
-}
-
-void IndexCache::InvalidateLocal(PageId page) {
-  if (!enabled()) return;
-  MutexLock lock(mu_);
-  const uint32_t idx = table_.Lookup(page.Pack());
-  if (idx == IndirectionTable::kNoSlot) return;
-  invalid_flags_[idx].store(1, std::memory_order_release);
-  local_invalidations_.Inc();
 }
 
 bool IndexCache::Contains(PageId page) const {

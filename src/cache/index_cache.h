@@ -97,11 +97,13 @@ class IndexCache {
   // caller's B-link right-walk.
   RouteResult Route(SpaceId space, int64_t key);
 
-  // Installs an internal page's image (page_size bytes). No-op for leaves,
-  // for already-cached pages, and when disabled. CALLER CONTRACT: the
-  // caller holds the page's PLock (any mode) and frame latch, and `bytes`
-  // is the page's current image — the PLock is what guarantees no remote
-  // push (and hence no missed invalidation) can race the registration.
+  // Installs an internal page's image (page_size bytes); an already-cached
+  // page has its image replaced in place. No-op for leaves and when
+  // disabled. CALLER CONTRACT: the caller holds the page's PLock (any mode)
+  // and frame latch, and `bytes` is the page's current image — the PLock is
+  // what guarantees no remote push (and hence no missed invalidation) can
+  // race the registration. Callers: the guarded descent, and a split for
+  // the pages it rewrote (before its X PLocks are released).
   // (The slot-latch handoff across the mu_ release is invisible to the
   // static analysis; the dynamic rank checker still covers it.)
   Status Install(PageId page, const char* bytes,
@@ -111,12 +113,6 @@ class IndexCache {
   // now, so any not-in-DBP install backoff for it is retired. Wired to
   // BufferPool::SetNotePush by DbNode. Purely local — no fabric op.
   void NotePushed(PageId page);
-
-  // Marks this node's own cached image of `page` stale (local SMO: the
-  // split just rewrote the page in the LBP; the DBP copy is behind until
-  // the dirty push, and the flag keeps routes from trusting our image
-  // meanwhile). Purely local — no fabric op.
-  void InvalidateLocal(PageId page);
 
   bool Contains(PageId page) const;
 
@@ -214,7 +210,6 @@ class IndexCache {
   obs::Counter stale_rejects_{"index_cache.stale_rejects"};
   obs::Counter one_sided_refreshes_{"index_cache.one_sided_refreshes"};
   obs::Counter refresh_unchanged_{"index_cache.refresh_unchanged"};
-  obs::Counter local_invalidations_{"index_cache.local_invalidations"};
   obs::Counter register_backoffs_{"index_cache.register_backoffs"};
 };
 

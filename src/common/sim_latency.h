@@ -43,9 +43,12 @@ LatencyProfile ZeroLatencyProfile();
 // Default profile used by benchmarks; see struct defaults.
 LatencyProfile BenchLatencyProfile();
 
-// Injects a delay of `ns` nanoseconds: short delays busy-spin (accurate to
-// ~100ns), long ones sleep so that latency-bound worker threads overlap on
-// a small host. A process-wide scale factor lets benches compress time.
+// Charges a delay of `ns` nanoseconds, scaled by the process-wide factor
+// below. Nothing busy-spins: charges accrue in a thread-local account that
+// is slept off in one sleep once it reaches 300 us (a charge that large
+// sleeps at once), so latency-bound worker threads overlap on a small
+// host. A thread's total delay is exact up to one sleep's overshoot per
+// batch, but the sleep lands in whichever call crosses the threshold.
 void SimDelay(uint64_t ns);
 
 // Multiplies every SimDelay by `scale` (default 1.0). Benches may use

@@ -1,6 +1,7 @@
 #include "dsm/dsm.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -16,8 +17,12 @@ Dsm::Dsm(Fabric* fabric, uint32_t num_servers, uint64_t bytes_per_server)
   POLARMP_CHECK_GT(num_servers, 0u);
   memory_.reserve(num_servers);
   for (uint32_t i = 0; i < num_servers; ++i) {
-    memory_.push_back(std::make_unique<char[]>(bytes_per_server));
-    std::memset(memory_.back().get(), 0, bytes_per_server);
+    // A segment this large comes straight from the OS already zeroed, so a
+    // memory server costs nothing until compute nodes touch its pages (a
+    // real memory server registers its pool once, §3).
+    char* segment = static_cast<char*>(std::calloc(bytes_per_server, 1));
+    POLARMP_CHECK(segment != nullptr) << "DSM segment allocation failed";
+    memory_.emplace_back(segment);
     const Status s = fabric_->RegisterRegion(ServerEndpoint(i), /*region=*/0,
                                              memory_.back().get(),
                                              bytes_per_server);

@@ -2,6 +2,7 @@
 #define POLARMP_DSM_DSM_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -110,6 +111,10 @@ class Dsm {
   Status ReadSeqlockedOnce(EndpointId from, DsmPtr frame, void* dst,
                            uint64_t len, uint64_t* version_out) const;
 
+  struct FreeSegment {
+    void operator()(char* segment) const { std::free(segment); }
+  };
+
   Fabric* const fabric_;
   const uint32_t num_servers_;
   const uint64_t bytes_per_server_;
@@ -117,7 +122,7 @@ class Dsm {
   // synchronized by the fabric's access disciplines (seqlock framing,
   // remote atomics), not by alloc_mu_.
   // polarlint: unguarded(vector frozen after construction)
-  std::vector<std::unique_ptr<char[]>> memory_;
+  std::vector<std::unique_ptr<char, FreeSegment>> memory_;
   mutable RankedMutex alloc_mu_{LockRank::kDsm, "dsm.alloc"};
   std::vector<uint64_t> next_free_ GUARDED_BY(alloc_mu_);
 };

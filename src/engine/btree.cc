@@ -238,7 +238,8 @@ Status BTree::SplitOnce(int64_t key, size_t need_bytes) {
   // engines never root-fence a leaf split: X on the whole path would
   // invalidate every node's cached upper levels on every split).
   Status st;
-  std::vector<PageId> smo_pages;
+  // Guards of the pages the split rewrote in place.
+  std::vector<size_t> rewritten;
   if (split_idx == 0) {
     POLARMP_ASSIGN_OR_RETURN(size_t root_guard,
                              smo.GetPage(RootId(), LockMode::kExclusive));
@@ -248,7 +249,7 @@ Status BTree::SplitOnce(int64_t key, size_t need_bytes) {
       return Status::OK();
     }
     st = SplitRoot(&smo, root_guard);
-    smo_pages.push_back(RootId());
+    rewritten.push_back(root_guard);
   } else {
     POLARMP_ASSIGN_OR_RETURN(
         size_t parent_guard,
@@ -269,17 +270,24 @@ Status BTree::SplitOnce(int64_t key, size_t need_bytes) {
       return Status::OK();
     }
     st = SplitNonRoot(&smo, node_guard, parent_guard);
-    smo_pages.push_back(PageId{space_, path[split_idx - 1].page_no});
-    smo_pages.push_back(PageId{space_, path[split_idx].page_no});
+    rewritten.push_back(parent_guard);
+    rewritten.push_back(node_guard);
   }
   if (!st.ok()) return st;
-  smo.Commit();
   if (ctx_->cache != nullptr) {
-    // The split rewrote these pages in our LBP; our own cached images (if
-    // any) are behind until the dirty push lands in the DBP. Flag them so
-    // routes stop trusting the images (purely local, no fabric op).
-    for (PageId p : smo_pages) ctx_->cache->InvalidateLocal(p);
+    // The split rewrote these pages in our LBP, and the DBP copy lags until
+    // the dirty push. Copy the new images into the cache while the split
+    // still holds their X PLocks and latches (Install's caller contract):
+    // our own routes then follow the new structure at once instead of
+    // refreshing from the lagging DBP and walking the leaf chain. Leaves
+    // are a no-op, and a page that cannot be cached is simply routed on the
+    // guarded path.
+    for (size_t g : rewritten) {
+      Page page = smo.PageAt(g);
+      (void)ctx_->cache->Install(smo.PageIdAt(g), page.raw(), page.level());
+    }
   }
+  smo.Commit();
   return Status::OK();
 }
 

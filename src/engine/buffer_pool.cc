@@ -1,5 +1,6 @@
 #include "engine/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "rdma/rpc.h"
@@ -161,6 +162,10 @@ Status BufferPool::PushFrame(uint32_t idx, bool clean_load) {
 }
 
 StatusOr<uint32_t> BufferPool::AllocFrameLocked() {
+  // Victims whose eviction failed in this call. A failed eviction leaves
+  // the frame as it was, LRU position included, so without this the scan
+  // would pick the same frame on every attempt.
+  std::vector<uint32_t> busy;
   for (int attempt = 0; attempt < kEvictionAttempts; ++attempt) {
     // Free frame?
     uint32_t victim = UINT32_MAX;
@@ -168,18 +173,23 @@ StatusOr<uint32_t> BufferPool::AllocFrameLocked() {
     for (uint32_t i = 0; i < frames_.size(); ++i) {
       Frame& f = *frames_[i];
       if (!f.used && !f.installing) return i;
-      if (f.used && !f.installing && f.pins == 0 && f.last_used < oldest) {
+      if (f.used && !f.installing && f.pins == 0 && f.last_used < oldest &&
+          std::find(busy.begin(), busy.end(), i) == busy.end()) {
         oldest = f.last_used;
         victim = i;
       }
     }
     if (victim == UINT32_MAX) {
+      // Nothing evictable: wait for an unpin, then give the busy victims
+      // another chance too.
       cv_.wait_for(mu_, std::chrono::milliseconds(10));
+      busy.clear();
       continue;
     }
     const Status s = EvictLocked(victim);
     if (s.ok()) return victim;
-    // Busy victim (e.g., its PLock is mid-acquire): try another.
+    // Busy victim (e.g., its PLock is in use or mid-acquire): try another.
+    busy.push_back(victim);
   }
   return Status::Internal("LBP exhausted: no evictable frame");
 }

@@ -114,6 +114,29 @@ Status TrxManager::RefreshView(Transaction* trx) {
   return Status::OK();
 }
 
+Status TrxManager::RefreshWriteView(Transaction* trx) {
+  // Only snapshot isolation's write-conflict check reads the view. A
+  // read-committed write locks and rewrites the latest version whatever its
+  // CTS (as InnoDB's read-committed writes do), so it skips the TSO fetch.
+  if (trx->iso_ != IsolationLevel::kSnapshotIsolation) return Status::OK();
+  return RefreshView(trx);
+}
+
+StatusOr<UndoStore::AppendResult> TrxManager::AppendUndo(
+    Transaction* trx, const UndoRecord& rec) {
+  if (trx->first_undo_offset() == UINT64_MAX) {
+    // Publish a lower bound of the first record's offset BEFORE appending
+    // it. BackgroundTick reads the undo head before it scans for these
+    // bounds: a record appended after that read lies at or above the head
+    // it read, and a record appended before it had its bound published
+    // first, so the scan sees the bound. Either way purge stops short of
+    // the record.
+    std::atomic_ref<uint64_t>(trx->first_undo_offset_)
+        .store(undo_->head(node()), std::memory_order_release);
+  }
+  return undo_->Append(node(), rec);
+}
+
 Csn TrxManager::GetCtsForVersion(GTrxId g_trx, Csn row_cts) const {
   // Algorithm 1.
   if (row_cts != kCsnInit) return row_cts;          // CTS already backfilled
@@ -243,7 +266,7 @@ Status TrxManager::WriteRow(Transaction* trx, BTree* tree, int64_t key,
                             bool require_exists,
                             std::optional<RowVersion>* prev) {
   POLARMP_CHECK_EQ(trx->state_, TrxState::kActive);
-  POLARMP_RETURN_IF_ERROR(RefreshView(trx));
+  POLARMP_RETURN_IF_ERROR(RefreshWriteView(trx));
   const uint8_t flags = tombstone ? kRowTombstone : 0;
 
   GTrxId waited_for = kInvalidGTrxId;
@@ -330,7 +353,7 @@ Status TrxManager::WriteRow(Transaction* trx, BTree* tree, int64_t key,
 
       if (conflict_holder == kInvalidGTrxId) {
         POLARMP_ASSIGN_OR_RETURN(UndoStore::AppendResult undo_res,
-                                 undo_->Append(node(), undo_rec));
+                                 AppendUndo(trx, undo_rec));
         mtr.LogUndoAppend(undo_res.offset, undo_res.bytes);
         const std::string image = EncodeRow(key, trx->gid(), kCsnInit,
                                             undo_res.ptr, flags, value);
@@ -341,9 +364,6 @@ Status TrxManager::WriteRow(Transaction* trx, BTree* tree, int64_t key,
               .store(mtr.commit_start_lsn(), std::memory_order_release);
         }
         trx->last_undo_ = undo_res.ptr;
-        std::atomic_ref<uint64_t>(trx->first_undo_offset_)
-            .store(std::min(trx->first_undo_offset_, undo_res.offset),
-                   std::memory_order_release);
         trx->touched_.push_back(Transaction::TouchedRow{
             mtr.PageIdAt(pos.guard), key, tree->space(), tombstone});
         return Status::OK();
@@ -361,7 +381,7 @@ Status TrxManager::WriteRow(Transaction* trx, BTree* tree, int64_t key,
 StatusOr<std::string> TrxManager::ReadRowForUpdate(Transaction* trx,
                                                    BTree* tree, int64_t key) {
   POLARMP_CHECK_EQ(trx->state_, TrxState::kActive);
-  POLARMP_RETURN_IF_ERROR(RefreshView(trx));
+  POLARMP_RETURN_IF_ERROR(RefreshWriteView(trx));
 
   GTrxId waited_for = kInvalidGTrxId;
   for (int attempt = 0; attempt < options_.write_retry_limit; ++attempt) {
@@ -412,7 +432,7 @@ StatusOr<std::string> TrxManager::ReadRowForUpdate(Transaction* trx,
         std::string value = row.value.ToString();
 
         POLARMP_ASSIGN_OR_RETURN(UndoStore::AppendResult undo_res,
-                                 undo_->Append(node(), undo_rec));
+                                 AppendUndo(trx, undo_rec));
         mtr.LogUndoAppend(undo_res.offset, undo_res.bytes);
         const std::string image = EncodeRow(key, trx->gid(), kCsnInit,
                                             undo_res.ptr, row.flags, value);
@@ -423,9 +443,6 @@ StatusOr<std::string> TrxManager::ReadRowForUpdate(Transaction* trx,
               .store(mtr.commit_start_lsn(), std::memory_order_release);
         }
         trx->last_undo_ = undo_res.ptr;
-        std::atomic_ref<uint64_t>(trx->first_undo_offset_)
-            .store(std::min(trx->first_undo_offset_, undo_res.offset),
-                   std::memory_order_release);
         trx->touched_.push_back(Transaction::TouchedRow{
             mtr.PageIdAt(pos.guard), key, tree->space(), /*tombstone=*/false});
         return value;
@@ -599,19 +616,26 @@ void TrxManager::FinishCommitBookkeeping(Transaction* trx) {
 }
 
 void TrxManager::BackfillCts(Transaction* trx) {
-  for (const auto& touched : trx->touched_) {
-    if (!engine_->plock->TryPinLocal(touched.page, LockMode::kExclusive)) {
+  const std::vector<Transaction::TouchedRow>& touched = trx->touched_;
+  // One pin + latch per run of rows recorded on the same page: a bulk-load
+  // batch writes hundreds of rows into a handful of leaves.
+  for (size_t begin = 0, end = 0; begin < touched.size(); begin = end) {
+    const PageId page_id = touched[begin].page;
+    end = begin + 1;
+    while (end < touched.size() && touched[end].page == page_id) ++end;
+    if (!engine_->plock->TryPinLocal(page_id, LockMode::kExclusive)) {
       continue;
     }
-    BufferPool::Handle handle = engine_->lbp->TryGetCached(touched.page);
+    BufferPool::Handle handle = engine_->lbp->TryGetCached(page_id);
     if (!handle.valid()) {
-      engine_->plock->Unpin(touched.page);
+      engine_->plock->Unpin(page_id);
       continue;
     }
     engine_->lbp->Latch(handle, LockMode::kExclusive);
     Page page(handle.data, engine_->lbp->page_size());
-    const int slot = page.FindSlot(touched.key);
-    if (slot >= 0) {
+    for (size_t i = begin; i < end; ++i) {
+      const int slot = page.FindSlot(touched[i].key);
+      if (slot < 0) continue;  // moved by a later split: left to readers
       auto row = page.RowAt(slot);
       if (row.ok() && row.value().g_trx_id == trx->gid()) {
         // Unlogged metadata refinement: after a crash the CTS is
@@ -621,7 +645,7 @@ void TrxManager::BackfillCts(Transaction* trx) {
     }
     engine_->lbp->Unlatch(handle, LockMode::kExclusive);
     engine_->lbp->Unpin(handle);
-    engine_->plock->Unpin(touched.page);
+    engine_->plock->Unpin(page_id);
   }
 }
 
@@ -732,7 +756,9 @@ void TrxManager::BackgroundTick() {
   if (!gmin_or.ok()) return;
   const Csn gmin = gmin_or.value();
 
-  uint64_t purge_to = UINT64_MAX;
+  // The head is read before the scan; see AppendUndo for why that order
+  // keeps purge off records whose bound the scan cannot see yet.
+  uint64_t purge_to = undo_->head(node());
   {
     MutexLock lock(mu_);
     for (const auto& [id, trx] : active_) {
@@ -754,7 +780,6 @@ void TrxManager::BackgroundTick() {
     }
   }
   // 3. Purge undo below every possibly-needed record.
-  if (purge_to == UINT64_MAX) purge_to = undo_->head(node());
   (void)undo_->FreeUpTo(node(), purge_to);
 
   // 4. Physically remove tombstones that are visible-to-all (row GC).

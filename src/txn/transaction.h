@@ -90,7 +90,9 @@ class Transaction {
   Csn cts_ = kCsnInit;
 
   UndoPtr last_undo_ = kNullUndoPtr;
-  uint64_t first_undo_offset_ = UINT64_MAX;  // lowest undo offset written
+  // Published before the first undo append: at or below every undo offset
+  // the transaction writes (UINT64_MAX until then).
+  uint64_t first_undo_offset_ = UINT64_MAX;
   Lsn first_lsn_ = 0;
   std::vector<TouchedRow> touched_;
 
@@ -246,6 +248,12 @@ class TrxManager {
  private:
   // Refreshes the statement view per the isolation level.
   Status RefreshView(Transaction* trx);
+  // RefreshView for a writing statement: a no-op unless the view is read.
+  Status RefreshWriteView(Transaction* trx);
+  // Appends one of the transaction's undo records, first keeping purge off
+  // it.
+  StatusOr<UndoStore::AppendResult> AppendUndo(Transaction* trx,
+                                               const UndoRecord& rec);
 
   // True if the transaction behind `g_trx` is still active (conservative on
   // unreachable owners).

@@ -7,8 +7,9 @@
 namespace polarmp {
 namespace {
 
-// Compute-side index cache: version-validated one-sided routing, remote and
-// local SMO invalidation, lease interplay, eviction and the disabled mode.
+// Compute-side index cache: version-validated one-sided routing, remote SMO
+// invalidation, local SMO refresh, lease interplay, eviction and the
+// disabled mode.
 class IndexCacheTest : public ::testing::Test {
  protected:
   void StartCluster(int nodes, uint32_t cache_slots, bool cache_enabled,
@@ -152,14 +153,14 @@ TEST_F(IndexCacheTest, StaleRouteHealsByRightWalkWithoutPush) {
   }
 }
 
-TEST_F(IndexCacheTest, LocalSplitInvalidatesOwnRoute) {
+TEST_F(IndexCacheTest, LocalSplitRefreshesOwnRoute) {
   StartCluster(1, 64, /*cache_enabled=*/true);
   ASSERT_TRUE(InsertRange(0, 0, 400, "a").ok());
   for (int64_t k = 0; k < 400; k += 17) {
     ASSERT_TRUE(Read1(0, k).ok());
   }
-  // Local SMOs mark this node's own cached images stale (the LBP copy is
-  // ahead of the DBP until the background push).
+  // Local SMOs copy the rewritten pages into this node's cached images (the
+  // LBP copy is ahead of the DBP until the background push).
   ASSERT_TRUE(InsertRange(0, 400, 800, "b").ok());
   for (int64_t k = 0; k < 800; k += 7) {
     auto v = Read1(0, k);
@@ -238,6 +239,59 @@ TEST_F(IndexCacheTest, LbpEvictionLeavesLeaseForCachedPages) {
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(v.value(), Expected(k, k < 400 ? "a" : "b"));
   }
+}
+
+// A split copies the pages it rewrote into this node's cache before it
+// releases them, so an ascending load keeps routing straight to the right
+// leaf while the DBP copy of the parent lags the LBP. (Had the split only
+// flagged its cached parent, the refresh would reload the lagging DBP copy
+// and every insert would walk the leaf chain from a stale route.)
+TEST(SplitRefreshTest, AscendingLoadRoutesStraightToTheLeaf) {
+  ClusterOptions opts;  // zero latency
+  // No background push or checkpoint: the DBP only changes at the one
+  // explicit checkpoint below.
+  opts.node.lbp_flush_interval_ms = 3'600'000;
+  opts.node.checkpoint_interval_ms = 3'600'000;
+  auto cluster = Cluster::Create(opts);
+  ASSERT_TRUE(cluster.ok());
+  DbNode* node = cluster.value()->AddNode().value();
+  ASSERT_TRUE(cluster.value()->CreateTable("t").ok());
+  const TableHandle table = node->OpenTable("t").value();
+  PLockManager* plock = node->plock_manager();
+  const auto acquisitions = [&] {
+    return plock->local_grants() + plock->fusion_acquires();
+  };
+
+  // 12 000 rows: the root grows to level 2 about two thirds through.
+  constexpr int kBatches = 24;
+  constexpr int kRowsPerBatch = 500;
+  const std::string value(64, 'v');
+  int64_t key = 1;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    const uint64_t before = acquisitions();
+    Session s(node, IsolationLevel::kReadCommitted);
+    ASSERT_TRUE(s.Begin().ok());
+    for (int i = 0; i < kRowsPerBatch; ++i, ++key) {
+      ASSERT_TRUE(s.Insert(table, key, value).ok()) << key;
+    }
+    ASSERT_TRUE(s.Commit().ok());
+    if (batch == 0) {
+      // One push of every page, as the background flush would do: from
+      // here on the DBP holds an internal parent image that lags the LBP.
+      ASSERT_TRUE(node->Checkpoint().ok());
+      continue;
+    }
+    const double per_insert =
+        static_cast<double>(acquisitions() - before) / kRowsPerBatch;
+    ASSERT_LE(per_insert, 3.0) << "batch " << batch;
+  }
+  EXPECT_GT(node->index_cache()->hits(), 0u);
+  Session r(node, IsolationLevel::kReadCommitted);
+  ASSERT_TRUE(r.Begin().ok());
+  for (int64_t k = 1; k < key; k += 97) {
+    EXPECT_EQ(r.Get(table, k).value(), value) << k;
+  }
+  ASSERT_TRUE(r.Commit().ok());
 }
 
 // Crash + recovery drops the cache; post-recovery traffic rebuilds it and

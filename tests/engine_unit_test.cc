@@ -147,6 +147,43 @@ TEST_F(NodeEngineTest, LazyPlockStatsAccumulate) {
             node_->plock_manager()->fusion_acquires());
 }
 
+// A victim whose PLock is in use cannot be evicted; the LBP must move on
+// to the next least-recently-used frame instead of retrying the same one.
+TEST_F(NodeEngineTest, BusyLruVictimIsSkipped) {
+  Session s(node_, IsolationLevel::kReadCommitted);
+  ASSERT_TRUE(s.Begin().ok());
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(s.Insert(table_, i, std::string(100, 'x')).ok());
+  }
+  ASSERT_TRUE(s.Commit().ok());
+
+  BufferPool* lbp = node_->buffer_pool();
+  PLockManager* plock = node_->plock_manager();
+  const SpaceId space = table_.primary->space();
+  const auto touch = [&](PageNo page_no) -> Status {
+    const PageId page{space, page_no};
+    POLARMP_RETURN_IF_ERROR(plock->Pin(page, LockMode::kShared, 1000));
+    auto handle = lbp->GetPage(page, /*create=*/false);
+    if (handle.ok()) lbp->Unpin(handle.value());
+    plock->Unpin(page);
+    return handle.status();
+  };
+  // Fill all 8 frames in a known order: page 1 is the LRU frame.
+  for (PageNo p = 1; p <= 8; ++p) ASSERT_TRUE(touch(p).ok()) << p;
+
+  // Hold a PLock reference on page 1 without pinning its frame: evicting
+  // it returns Busy.
+  const PageId held{space, 1};
+  ASSERT_TRUE(plock->Pin(held, LockMode::kShared, 1000).ok());
+  const Status loaded = touch(9);
+  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+  // Page 1 kept its frame; another victim made room.
+  const BufferPool::Handle kept = lbp->TryGetCached(held);
+  EXPECT_TRUE(kept.valid());
+  if (kept.valid()) lbp->Unpin(kept);
+  plock->Unpin(held);
+}
+
 // ---------------------------------------------------------------------------
 // Log stream invariant: per-node LLSNs are monotone in the stream (§4.4),
 // even under concurrent committers.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -183,6 +185,58 @@ TEST(DsmTest, OutOfMemory) {
   Dsm dsm(&fabric, 1, 128);
   ASSERT_TRUE(dsm.Allocate(100).ok());
   EXPECT_FALSE(dsm.Allocate(100).ok());
+}
+
+// Offset of the first nonzero byte of every server's segment, or
+// bytes_per_server when the whole pool reads zero.
+uint64_t FirstNonzeroByte(const Dsm& dsm) {
+  static const char kZeros[4096] = {};
+  for (uint32_t server = 0; server < dsm.num_servers(); ++server) {
+    const char* base = dsm.HostPtr(DsmPtr{server, 0});
+    for (uint64_t off = 0; off < dsm.bytes_per_server();
+         off += sizeof(kZeros)) {
+      const uint64_t len =
+          std::min<uint64_t>(sizeof(kZeros), dsm.bytes_per_server() - off);
+      if (std::memcmp(base + off, kZeros, len) == 0) continue;
+      for (uint64_t i = off; i < off + len; ++i) {
+        if (base[i] != 0) return i;
+      }
+    }
+  }
+  return dsm.bytes_per_server();
+}
+
+// Every byte of the pool reads zero after construction and after Reset, for
+// a segment small enough to come from recycled heap memory and for one
+// large enough to be mapped straight from the OS.
+TEST(DsmTest, EveryByteZeroAfterConstructionAndReset) {
+  for (const uint64_t bytes : {uint64_t{1} << 16, uint64_t{40} << 20}) {
+    SCOPED_TRACE(bytes);
+    {
+      // Leave dirty memory of the same size behind for the allocator to
+      // hand back.
+      std::vector<char> dirty(bytes, '\x5a');
+      ASSERT_EQ(dirty.back(), '\x5a');
+    }
+    Fabric fabric(ZeroLatencyProfile());
+    Dsm dsm(&fabric, 2, bytes);
+    EXPECT_EQ(FirstNonzeroByte(dsm), bytes);
+
+    const std::vector<char> pattern(bytes, '\x7e');
+    for (uint32_t server = 0; server < 2; ++server) {
+      dsm.HostWrite(DsmPtr{server, 0}, pattern.data(), bytes);
+    }
+    ASSERT_EQ(FirstNonzeroByte(dsm), 0u);
+    dsm.Reset();
+    EXPECT_EQ(FirstNonzeroByte(dsm), bytes);
+    // A compute node's one-sided read sees the same zeros.
+    char tail[64] = {1};
+    ASSERT_TRUE(dsm.Read(1, DsmPtr{1, bytes - sizeof(tail)}, tail,
+                         sizeof(tail))
+                    .ok());
+    EXPECT_EQ(std::count(tail, tail + sizeof(tail), 0),
+              static_cast<long>(sizeof(tail)));
+  }
 }
 
 TEST(DsmTest, ResetClears) {

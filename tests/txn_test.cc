@@ -506,5 +506,57 @@ TEST_F(TxnGsiTest, RollbackRevertsIndexEntries) {
   ASSERT_TRUE(r.Commit().ok());
 }
 
+// Under read committed only reads use the statement view, so a
+// transaction that only writes never asks the TSO for a read timestamp;
+// snapshot isolation still fixes its snapshot at the first write.
+TEST(WriteViewTest, ReadCommittedWritesSkipTheReadTimestamp) {
+  ClusterOptions opts;
+  opts.page_size = 1024;
+  opts.node.lbp.page_size = 1024;
+  // The background min-view report reads the TSO while no active
+  // transaction has a view; keep it out of the counted window.
+  opts.node.background_interval_ms = 3'600'000;
+  auto cluster = Cluster::Create(opts);
+  ASSERT_TRUE(cluster.ok());
+  DbNode* node = cluster.value()->AddNode().value();
+  ASSERT_TRUE(cluster.value()->CreateTable("t").ok());
+  const TableHandle table = node->OpenTable("t").value();
+  {
+    Session load(node, IsolationLevel::kReadCommitted);
+    ASSERT_TRUE(load.Begin().ok());
+    for (int64_t k = 0; k < 10; ++k) {
+      ASSERT_TRUE(load.Insert(table, k, "v").ok());
+    }
+    ASSERT_TRUE(load.Commit().ok());
+  }
+  const TsoClient* tso = node->tso_client();
+  const auto read_timestamps = [&] { return tso->fetches() + tso->reuses(); };
+
+  for (const IsolationLevel iso : {IsolationLevel::kReadCommitted,
+                                   IsolationLevel::kSnapshotIsolation}) {
+    SCOPED_TRACE(static_cast<int>(iso));
+    Session s(node, iso);
+    ASSERT_TRUE(s.Begin().ok());
+    const uint64_t before = read_timestamps();
+    const int64_t base = iso == IsolationLevel::kReadCommitted ? 100 : 200;
+    ASSERT_TRUE(s.Insert(table, base, "new").ok());
+    ASSERT_TRUE(s.Put(table, base + 1, "new").ok());
+    ASSERT_TRUE(s.Update(table, base == 100 ? 1 : 2, "updated").ok());
+    ASSERT_TRUE(s.Delete(table, base == 100 ? 3 : 4).ok());
+    ASSERT_TRUE(s.GetForUpdate(table, base == 100 ? 5 : 6).ok());
+    const uint64_t fetched = read_timestamps() - before;
+    ASSERT_TRUE(s.Commit().ok());
+    EXPECT_EQ(fetched, iso == IsolationLevel::kReadCommitted ? 0u : 1u);
+  }
+  // The writes landed.
+  Session r(node, IsolationLevel::kReadCommitted);
+  ASSERT_TRUE(r.Begin().ok());
+  EXPECT_EQ(r.Get(table, 100).value(), "new");
+  EXPECT_EQ(r.Get(table, 201).value(), "new");
+  EXPECT_EQ(r.Get(table, 1).value(), "updated");
+  EXPECT_TRUE(r.Get(table, 4).status().IsNotFound());
+  ASSERT_TRUE(r.Commit().ok());
+}
+
 }  // namespace
 }  // namespace polarmp
