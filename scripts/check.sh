@@ -142,7 +142,7 @@ run_mode() {
       ;;
     smoke)
       # Commit-pipeline smoke: the micro_commit bench at a short measure
-      # window exercises group formation, async commit and the finalizer
+      # window exercises group formation, leader hand-off and async commit
       # under real thread interleavings, and must emit its metrics sidecar
       # (the group-size histogram rides in it).
       cmake -B build -S .

@@ -75,14 +75,13 @@ enum class LockRank : unsigned {
                       // no other locks held; below kLogWriter so a force
                       // completion can never invert against the buffer)
   kLogWriter = 110,   // redo log buffer
-  kLogFlusher = 115,  // group-commit flusher queue (held while claiming the
-                      // kLogWriter buffer, hence strictly above it)
+  kLogFlusher = 115,  // group-commit leader/waiter state (held while
+                      // reading the kLogWriter buffer bounds, hence
+                      // strictly above it)
   kLlsnOrder = 120,   // LLSN-assignment/append atomicity
   kCommitGate = 130,  // mtr-commit vs checkpoint-snapshot gate
   kPageLatch = 140,   // per-frame page latch (same-rank: crabbing holds
                       // several at once; see DESIGN.md on why this is safe)
-  kCommitFinalize = 145,  // TrxManager finalize queue (commit completions
-                          // handed off the flusher to the finalizer thread)
   kTrxManager = 150,  // active-transaction table
 
   // ---- node/cluster control plane ----

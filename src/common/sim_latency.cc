@@ -21,9 +21,13 @@ std::atomic<uint64_t> g_total_count{0};
 // RDMA-class (tens of us) delays. SimDelay instead BATCHES per thread:
 // short delays accrue in a thread-local account and are slept off together
 // once the account passes kBatchNanos. A worker's cumulative simulated
-// latency — what throughput measurements integrate over — stays exact up
-// to one sleep's overshoot per batch (a uniform few-percent inflation that
-// cancels in every ratio); only sub-batch timing interleavings are
+// latency — what throughput measurements integrate over — is inflated by
+// one sleep's overshoot per batch plus the scheduling delay of waking up.
+// That is not a few percent: on a 4-core host running the 2-node
+// read-write sysbench mix, fabric.read_ns averaged 18.6 us for a 15 us
+// charge (+24%) and fabric.rpc_ns 49.6 us for 40 us (+24%). The inflation
+// is roughly uniform across verbs, so ratios between configurations hold
+// better than absolute latencies; only sub-batch timing interleavings are
 // approximated. Delays at or above the threshold sleep immediately.
 constexpr uint64_t kBatchNanos = 300'000;
 thread_local uint64_t t_pending_ns = 0;

@@ -10,7 +10,7 @@
 namespace polarmp {
 
 // One-shot completion primitive for the async commit pipeline: a producer
-// (the log writer's flusher, the transaction manager's finalizer) completes
+// (the log writer's flusher, or TrxManager::CommitAsync) completes
 // it exactly once with a Status; any number of consumers Wait() or poll
 // done(). std::future<Status> would do the same job but cannot participate
 // in the lock-rank order — the shared state's mutex here is a RankedMutex

@@ -46,6 +46,7 @@ Status PLockManager::Pin(PageId page, LockMode mode, uint64_t timeout_ms) {
       // Queuing an in-place upgrade while keeping the S hold deadlocks when
       // two nodes do it symmetrically (each X waits on the other's S); a
       // release-then-reacquire serializes cleanly through the FIFO queue.
+      upgrade_releases_.Inc();
       e.releasing = true;
       ReleaseLocked(page, /*run_hook=*/true);
       continue;

@@ -91,6 +91,9 @@ class PLockManager {
   uint64_t negotiated_releases() const {
     return negotiated_releases_.Value();
   }
+  // The subset of negotiated_releases() that gave an idle S hold back so
+  // this node could acquire X (read-then-write on one page).
+  uint64_t upgrade_releases() const { return upgrade_releases_.Value(); }
   uint64_t lease_demotes() const { return lease_demotes_.Value(); }
   uint64_t lease_regrants() const { return lease_regrants_.Value(); }
 
@@ -142,6 +145,7 @@ class PLockManager {
   obs::Counter local_grants_{"plock.local_grants"};
   obs::Counter fusion_acquires_{"plock.fusion_acquires"};
   obs::Counter negotiated_releases_{"plock.negotiated_releases"};
+  obs::Counter upgrade_releases_{"plock.upgrade_releases"};
   obs::Counter lease_demotes_{"plock.lease_demotes"};
   obs::Counter lease_regrants_{"plock.lease_regrants"};
 };

@@ -195,47 +195,45 @@ Status LockFusion::AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
     entry.queue.push_back(waiter);
     TryGrant(page, &entry, &targets);
   }
-  for (NodeId t : targets) {
-    NegotiateHandler handler;
-    {
-      MutexLock lock(mu_);
-      auto it = nodes_.find(t);
-      if (it == nodes_.end()) continue;
-      handler = it->second;
-    }
-    handler(page);
-  }
+  SendNegotiations(page, targets);
 
-  UniqueLock lock(mu_);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
-  while (!waiter->granted && !waiter->failed) {
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-        !waiter->granted && !waiter->failed) {
-      // Withdraw the request; the grant logic skips failed waiters.
-      waiter->failed = true;
-      auto it = plocks_.find(page.Pack());
-      std::string holders;
-      if (it != plocks_.end()) {
-        for (const auto& [h, m] : it->second.holders) {
-          holders += std::to_string(h) +
-                     (m == LockMode::kExclusive ? "X " : "S ");
+  bool timed_out = false;
+  std::string holders;
+  targets.clear();
+  {
+    UniqueLock lock(mu_);
+    while (!waiter->granted && !waiter->failed) {
+      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
+          !waiter->granted && !waiter->failed) {
+        // Withdraw the request; the grant logic skips failed waiters.
+        waiter->failed = true;
+        timed_out = true;
+        auto it = plocks_.find(page.Pack());
+        if (it != plocks_.end()) {
+          for (const auto& [h, m] : it->second.holders) {
+            holders += std::to_string(h) +
+                       (m == LockMode::kExclusive ? "X " : "S ");
+          }
+          // The waiter behind this one is now at the front: the holders
+          // that block it must hear about it.
+          TryGrant(page, &it->second, &targets);
         }
-        std::vector<NodeId> more;
-        TryGrant(page, &it->second, &more);
-        // Timed-out path: skip extra negotiations; the next acquire retries.
       }
-      POLARMP_LOG(Warn) << "PLock timeout: node " << node << " wanted "
-                        << (mode == LockMode::kExclusive ? "X" : "S")
-                        << " on page " << page.ToString() << "; holders: "
-                        << holders;
-      return Status::Busy("PLock timeout on page " + page.ToString());
+    }
+    if (!timed_out) {
+      return waiter->failed
+                 ? Status::Unavailable("node removed while waiting for PLock")
+                 : Status::OK();
     }
   }
-  if (waiter->failed) {
-    return Status::Unavailable("node removed while waiting for PLock");
-  }
-  return Status::OK();
+  SendNegotiations(page, targets);
+  POLARMP_LOG(Warn) << "PLock timeout: node " << node << " wanted "
+                    << (mode == LockMode::kExclusive ? "X" : "S")
+                    << " on page " << page.ToString() << "; holders: "
+                    << holders;
+  return Status::Busy("PLock timeout on page " + page.ToString());
 }
 
 Status LockFusion::ReleasePLock(NodeId node, PageId page) {
@@ -284,17 +282,22 @@ Status LockFusion::ReleasePLockImpl(NodeId node, PageId page) {
       plocks_.erase(it);
     }
   }
+  SendNegotiations(page, targets);
+  return Status::OK();
+}
+
+void LockFusion::SendNegotiations(PageId page,
+                                  const std::vector<NodeId>& targets) {
   for (NodeId t : targets) {
     NegotiateHandler handler;
     {
       MutexLock lock(mu_);
-      auto hit = nodes_.find(t);
-      if (hit == nodes_.end()) continue;
-      handler = hit->second;
+      auto it = nodes_.find(t);
+      if (it == nodes_.end()) continue;
+      handler = it->second;
     }
     handler(page);
   }
-  return Status::OK();
 }
 
 bool LockFusion::HoldsPLock(NodeId node, PageId page, LockMode mode) const {

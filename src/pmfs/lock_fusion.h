@@ -145,6 +145,11 @@ class LockFusion {
   void TryGrant(PageId page, PLockEntry* entry,
                 std::vector<NodeId>* negotiate_targets) REQUIRES(mu_);
   static bool CanGrant(const PLockEntry& entry, const PLockWaiter& w);
+  // Delivers the negotiation messages TryGrant asked for. TryGrant has
+  // already marked these holders negotiated, so a dropped message strands
+  // the hold: every later TryGrant skips it.
+  void SendNegotiations(PageId page, const std::vector<NodeId>& targets)
+      EXCLUDES(mu_);
 
   // True if starting from `from` the wait-for chain reaches `target`.
   bool WaitChainReaches(GTrxId from, GTrxId target) const REQUIRES(mu_);

@@ -59,8 +59,8 @@ class TransactionFusion {
   // ---- telemetry ------------------------------------------------------------
   // Shims over this instance's registry handles ("txn_fusion.*" families).
   // The commit-path latency decomposition ("txn_fusion.commit*_ns":
-  // enqueue/tso on the committer thread, log across the group force,
-  // finalize on the commit finalizer thread) is recorded node-side by
+  // enqueue/tso before the force, log across the group force, finalize
+  // after it) is recorded node-side by
   // TrxManager::CommitAsync and FinishCommit.
   uint64_t min_view_reports() const { return min_view_reports_.Value(); }
   uint64_t min_view_reads() const { return min_view_reads_.Value(); }

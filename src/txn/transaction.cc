@@ -16,70 +16,7 @@ TrxManager::TrxManager(EngineContext* engine, Tit* tit, TsoClient* tso,
       txn_fusion_(txn_fusion),
       lock_fusion_(lock_fusion),
       undo_(undo),
-      options_(options) {
-  finalizer_ = std::thread([this] { FinalizerLoop(); });
-}
-
-TrxManager::~TrxManager() {
-  std::deque<FinalizeItem> leftovers;
-  {
-    MutexLock lock(finalize_mu_);
-    finalize_stop_ = true;
-    leftovers.swap(finalize_queue_);
-    finalize_cv_.notify_all();
-  }
-  finalizer_.join();
-  // Anything still queued at destruction lost its engine: complete the
-  // callbacks without touching state (graceful Stop and Crash both drain
-  // the queue earlier, so this is normally empty).
-  for (FinalizeItem& item : leftovers) {
-    if (item.done) item.done(Status::Aborted("trx manager shutdown"));
-  }
-}
-
-void TrxManager::EnqueueFinalize(FinalizeItem item) {
-  {
-    MutexLock lock(finalize_mu_);
-    if (!finalize_stop_) {
-      finalize_queue_.push_back(std::move(item));
-      finalize_cv_.notify_all();
-      return;
-    }
-  }
-  if (item.done) item.done(Status::Aborted("trx manager shutdown"));
-}
-
-void TrxManager::FinalizerLoop() {
-  UniqueLock lock(finalize_mu_);
-  for (;;) {
-    finalize_cv_.wait(lock, [this]() REQUIRES(finalize_mu_) {
-      return finalize_stop_ || !finalize_queue_.empty();
-    });
-    if (finalize_queue_.empty()) {
-      if (finalize_stop_) return;
-      continue;
-    }
-    FinalizeItem item = std::move(finalize_queue_.front());
-    finalize_queue_.pop_front();
-    finalize_busy_ = true;
-    lock.unlock();
-    // Off-lock: FinishCommit may block (page latches, even a log force via
-    // eviction — safe here, the flusher is free to serve it).
-    FinishCommit(item.trx, item.provisional_cts, std::move(item.force_status),
-                 std::move(item.done));
-    commit_ns_.Record(obs::TraceSpan::NowNanos() - item.commit_start_ns);
-    lock.lock();
-    finalize_busy_ = false;
-    if (finalize_queue_.empty()) finalize_cv_.notify_all();
-  }
-}
-
-void TrxManager::DrainCommitQueue() {
-  UniqueLock lock(finalize_mu_);
-  finalize_cv_.wait(lock, [this]() REQUIRES(finalize_mu_) {
-    return finalize_queue_.empty() && !finalize_busy_;
-  });
-}
+      options_(options) {}
 
 StatusOr<Transaction*> TrxManager::Begin(IsolationLevel iso) {
   UniqueLock lock(mu_);
@@ -499,42 +436,40 @@ void TrxManager::CommitAsync(Transaction* trx, CommitCallback done) {
   // lost-update window, DESIGN.md §6).
   tit_->PublishProvisionalCts(trx->gid(), cts);
   trx->state_.store(TrxState::kCommitting, std::memory_order_release);
-  {
-    MutexLock lock(mu_);
-    trx->commit_pending_ = true;
-  }
-  // 2. Durability: buffer the commit record and ENQUEUE the force ("before
+  // 2. Durability: buffer the commit record and force it ("before
   //    committing a transaction, the corresponding redo logs are
-  //    synchronized to the storage", §4.4). The flusher amortizes one
-  //    storage append over every committer queued behind this handle; the
-  //    completion (FinishCommit) finalizes visibility. The record carries
-  //    the provisional CTS; recovery backfills rows with it.
+  //    synchronized to the storage", §4.4). One storage append covers every
+  //    committer in the group; FinishCommit then finalizes visibility. The
+  //    record carries the provisional CTS; recovery backfills rows with it.
   const Lsn end =
       engine_->log->Add({MakeTrxCommit(node(), trx->gid(), cts)});
   const uint64_t log_start_ns = obs::TraceSpan::NowNanos();
   enqueue_span.Finish();
   if (options_.async_commit) {
-    // Client-visible commit point = enqueue. Acknowledge now; the force
-    // completion finalizes in the background, and a force FAILURE rolls
-    // back an already-acknowledged commit (the documented crash window of
-    // this mode).
+    // Client-visible commit point = enqueue. Acknowledge now; the flusher
+    // forces in the background and finalizes on force completion, and a
+    // force FAILURE rolls back an already-acknowledged commit (the
+    // documented crash window of this mode). Until that completion runs,
+    // a Release leaves the object to it.
+    {
+      MutexLock lock(mu_);
+      trx->commit_pending_ = true;
+    }
     engine_->log->ForceAsync(
         end, [this, trx, cts, commit_start_ns, log_start_ns](Status s) {
           commit_log_ns_.Record(obs::TraceSpan::NowNanos() - log_start_ns);
-          EnqueueFinalize({trx, cts, std::move(s), nullptr, commit_start_ns});
+          FinishCommit(trx, cts, std::move(s), nullptr);
+          commit_ns_.Record(obs::TraceSpan::NowNanos() - commit_start_ns);
         });
     done(Status::OK());
     return;
   }
-  // The force callback runs on the flusher thread and must not block:
-  // FinishCommit is handed to the finalizer thread, which completes `done`.
-  engine_->log->ForceAsync(
-      end, [this, trx, cts, commit_start_ns, log_start_ns,
-            done = std::move(done)](Status s) mutable {
-        commit_log_ns_.Record(obs::TraceSpan::NowNanos() - log_start_ns);
-        EnqueueFinalize(
-            {trx, cts, std::move(s), std::move(done), commit_start_ns});
-      });
+  // The committer leads (or follows) the group force and finalizes on its
+  // own thread.
+  Status forced = engine_->log->Force(end);
+  commit_log_ns_.Record(obs::TraceSpan::NowNanos() - log_start_ns);
+  FinishCommit(trx, cts, std::move(forced), std::move(done));
+  commit_ns_.Record(obs::TraceSpan::NowNanos() - commit_start_ns);
 }
 
 void TrxManager::FinishCommit(Transaction* trx, Csn provisional_cts,
@@ -554,8 +489,9 @@ void TrxManager::FinishCommit(Transaction* trx, Csn provisional_cts,
     trx->state_.store(TrxState::kActive, std::memory_order_release);
     if (options_.async_commit) {
       // The client already saw OK at enqueue: an acknowledged commit is
-      // lost. Undo it right here — this is the finalizer thread, which may
-      // block on the page writes rollback performs.
+      // lost. Undo it right here — the flusher runs this with no log writer
+      // locks held, and a force the rollback's page writes need is led by
+      // this thread.
       POLARMP_LOG(Warn) << "async commit of trx " << trx->gid()
                         << " failed after acknowledgement, rolling back: "
                         << force_status.ToString();
@@ -882,10 +818,6 @@ Status TrxManager::RollbackRecovered(GTrxId gid, UndoPtr last_undo) {
 }
 
 void TrxManager::DropAll() {
-  // Queued force completions reference Transaction objects that die with
-  // active_: let the finalizer run them against the still-live engine
-  // before anything is dropped.
-  DrainCommitQueue();
   MutexLock lock(mu_);
   active_.clear();
   finished_.clear();

@@ -2,12 +2,10 @@
 #define POLARMP_TXN_TRANSACTION_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/lock_rank.h"
@@ -24,9 +22,8 @@ namespace polarmp {
 
 enum class TrxState : uint8_t {
   kActive,
-  // Commit enqueued on the log writer's force pipeline: provisional CTS
-  // published, redo buffered, waiting for the group force to land. The
-  // flusher's completion (TrxManager::FinishCommit) moves it on.
+  // Commit in flight: provisional CTS published, redo buffered, waiting
+  // for the group force to land. TrxManager::FinishCommit moves it on.
   kCommitting,
   kCommitted,
   kRolledBack,
@@ -96,9 +93,9 @@ class Transaction {
   Lsn first_lsn_ = 0;
   std::vector<TouchedRow> touched_;
 
-  // Commit-pipeline lifecycle, both guarded by TrxManager::mu_: while
-  // commit_pending_ a queued force completion (FinishCommit, on the
-  // finalizer thread) still needs this object, so Release defers the erase
+  // Async-commit lifecycle, both guarded by TrxManager::mu_: while
+  // commit_pending_ a queued force completion (FinishCommit, on the log
+  // writer's flusher) still needs this object, so Release defers the erase
   // and sets released_ instead; whoever clears commit_pending_ performs it.
   // polarlint: unguarded(guarded by TrxManager::mu_, annotated there)
   bool commit_pending_ = false;
@@ -108,15 +105,13 @@ class Transaction {
 
 // Per-node transaction manager: TIT slot lifecycle, MVCC visibility
 // (Algorithm 1), the embedded-row-lock write protocol (§4.3.2), the
-// pipelined commit (enqueue: CTS fetch → provisional publish → redo append
-// → force enqueue; finalize, on force completion: post-force CTS → TIT
-// publish → CTS backfill → waiter notification) and undo-based rollback.
-// Force completions are handed off the flusher thread to a dedicated
-// finalizer thread (FIFO, so finalization follows force order): the
-// flusher's callbacks must never block, but finalization writes pages
-// (backfill, failed-async rollback) and a page eviction forces the log.
-// The background tick drives min-view reporting, TIT recycling and undo
-// purge.
+// commit (CTS fetch → provisional publish → redo append → group force;
+// then finalize: post-force CTS → TIT publish → CTS backfill → waiter
+// notification) and undo-based rollback. A default commit leads or follows
+// the group force and finalizes on the committer's own thread; an async
+// commit is finalized by the log writer's flusher, which runs force
+// callbacks in LSN order with no log writer locks held. The background
+// tick drives min-view reporting, TIT recycling and undo purge.
 class TrxManager {
  public:
   struct Options {
@@ -137,7 +132,6 @@ class TrxManager {
   TrxManager(EngineContext* engine, Tit* tit, TsoClient* tso,
              TransactionFusion* txn_fusion, LockFusion* lock_fusion,
              UndoStore* undo, const Options& options);
-  ~TrxManager();
 
   TrxManager(const TrxManager&) = delete;
   TrxManager& operator=(const TrxManager&) = delete;
@@ -158,20 +152,19 @@ class TrxManager {
 
   StatusOr<Transaction*> Begin(IsolationLevel iso);
 
-  // Async commit: fetches the CTS, publishes it provisionally, buffers the
-  // commit record and enqueues a force handle on the log writer's pipeline;
-  // returns without blocking. CTS finalization, backfill and waiter wakeup
-  // run in FinishCommit on the commit finalizer thread when the force
-  // completes. The callback form runs `done` on the finalizer thread (no
-  // TrxManager locks held) or inline on the caller for no-write/early-error
-  // paths. On a non-OK completion in the default mode the transaction is
-  // back in kActive and the caller must Rollback it (Session does).
+  // Commit: fetches the CTS, publishes it provisionally, buffers the commit
+  // record and forces it. By default the caller leads or follows the group
+  // force and runs FinishCommit (CTS finalization, backfill, waiter wakeup)
+  // itself, so `done` runs on the caller before this returns. In
+  // async_commit mode `done` runs at once and the flusher runs FinishCommit
+  // when the force lands. On a non-OK completion in the default mode the
+  // transaction is back in kActive and the caller must Rollback it
+  // (Session does).
   CommitFuture CommitAsync(Transaction* trx);
   void CommitAsync(Transaction* trx, CommitCallback done);
 
-  // Blocking shim over CommitAsync — equivalent to CommitAsync(trx).Wait().
-  // In async_commit mode this still returns at the enqueue point, so the
-  // call is cheap; existing callers (Session) work unchanged in both modes.
+  // Blocking form — equivalent to CommitAsync(trx).Wait(). In async_commit
+  // mode this returns at the enqueue point.
   Status Commit(Transaction* trx);
 
   Status Rollback(Transaction* trx);
@@ -228,16 +221,10 @@ class TrxManager {
   // last undo pointer, through the normal (logged, locked) engine path.
   Status RollbackRecovered(GTrxId gid, UndoPtr last_undo);
 
-  // Crash support: forget all volatile transaction state. Drains the
-  // finalize queue first (queued completions reference the Transactions
-  // that die here).
+  // Crash support: forget all volatile transaction state. The caller
+  // quiesces the log writer first (LogWriter::Abandon), so no force
+  // completion still references a Transaction that dies here.
   void DropAll();
-
-  // Blocks until every queued force completion has finished finalizing.
-  // Teardown barrier: after LogWriter::Abandon drained the force queue,
-  // this drains the resulting FinishCommit continuations while the engine
-  // is still alive.
-  void DrainCommitQueue();
 
   // Telemetry shims over this node's registry handles ("txn.*" counters;
   // the commit-path decomposition feeds "txn_fusion.commit*_ns").
@@ -271,29 +258,15 @@ class TrxManager {
   // Best-effort commit-time CTS backfill (§4.1).
   void BackfillCts(Transaction* trx);
 
-  // Force-completion continuation: runs on the commit finalizer thread with
-  // no locks held (NEVER on the flusher thread — it writes pages, and a
-  // page eviction forces the log, which would deadlock the flusher against
-  // itself). Finalizes the CTS (fetched AFTER the force), publishes it,
-  // backfills rows, wakes waiters and completes `done`; on a force error it
-  // re-activates and, in async mode, rolls the acknowledged commit back.
+  // Force-completion continuation, run with no locks held: on the
+  // committer's thread (default mode) or the log writer's flusher (async
+  // mode). It may write pages, and a page eviction's log force is led by
+  // the same thread. Finalizes the CTS (fetched AFTER the force), publishes
+  // it, backfills rows, wakes waiters and completes `done`; on a force
+  // error it re-activates and, in async mode, rolls the acknowledged commit
+  // back.
   void FinishCommit(Transaction* trx, Csn provisional_cts, Status force_status,
                     CommitCallback done);
-
-  // A force completion queued for the finalizer thread.
-  struct FinalizeItem {
-    Transaction* trx = nullptr;
-    Csn provisional_cts = kCsnInit;
-    Status force_status;
-    CommitCallback done;           // null for async-mode commits
-    uint64_t commit_start_ns = 0;  // feeds txn_fusion.commit_ns
-  };
-
-  // Hands a force completion to the finalizer thread. Called from the
-  // flusher's completion callback (which must not block); if the manager is
-  // already stopping, completes `done` with Aborted inline.
-  void EnqueueFinalize(FinalizeItem item);
-  void FinalizerLoop();
 
   // Clears trx->commit_pending_ and performs a Release that arrived while
   // the commit was in flight.
@@ -337,18 +310,6 @@ class TrxManager {
   std::vector<PurgeCandidate> purge_queue_ GUARDED_BY(mu_);
   obs::Counter purged_rows_{"txn.purged_rows"};
 
-  // Commit finalizer: force completions queue here (FIFO = force order) and
-  // a dedicated thread runs FinishCommit for each. Kept apart from mu_ so
-  // enqueue — called from the flusher's completion path — contends only
-  // with the finalizer itself.
-  RankedMutex finalize_mu_{LockRank::kCommitFinalize, "txn.finalize"};
-  CondVar finalize_cv_;
-  std::deque<FinalizeItem> finalize_queue_ GUARDED_BY(finalize_mu_);
-  bool finalize_stop_ GUARDED_BY(finalize_mu_) = false;
-  bool finalize_busy_ GUARDED_BY(finalize_mu_) = false;
-  // polarlint: unguarded(joined by the destructor, touched by no one else)
-  std::thread finalizer_;
-
   obs::Counter lock_waits_{"txn.lock_waits"};
   obs::Counter deadlock_aborts_{"txn.deadlock_aborts"};
   obs::Counter commits_{"txn_fusion.commits"};
@@ -356,11 +317,10 @@ class TrxManager {
   // commit pipeline above). Benches derive fabric_ops_per_txn from this.
   obs::Counter all_commits_{"trx.commits"};
 
-  // Commit-path segments, pipelined decomposition: enqueue (CTS fetch +
-  // provisional publish + record append + force enqueue, on the committer
-  // thread), log (force-enqueue to force-landed), finalize (post-force CTS
-  // fetch + TIT publish + backfill + waiter wakeup, on the finalizer
-  // thread), and the whole path. The TSO fetch keeps its own sub-segment.
+  // Commit-path segments: enqueue (CTS fetch + provisional publish + record
+  // append), log (record appended to force landed), finalize (post-force
+  // CTS fetch + TIT publish + backfill + waiter wakeup), and the whole
+  // path. The TSO fetch keeps its own sub-segment.
   obs::LatencyHistogram commit_ns_{"txn_fusion.commit_ns"};
   obs::LatencyHistogram commit_tso_ns_{"txn_fusion.commit_tso_ns"};
   obs::LatencyHistogram commit_enqueue_ns_{"txn_fusion.commit_enqueue_ns"};

@@ -134,6 +134,47 @@ TEST_F(LockFusionTest, FifoOrdering) {
   EXPECT_EQ(grant_order[1], 3);
 }
 
+// A waiter that times out hands the front of the FIFO queue to the one
+// behind it, and the holders blocking THAT waiter must be asked to release.
+// The grant pass marks them negotiated, so a message dropped here is never
+// sent again: the hold lingers and the next waiter times out too.
+TEST_F(LockFusionTest, TimeoutForwardsNegotiationsToTheNextWaiter) {
+  const PageId page{1, 1};
+  fusion_.AddNode(3, [](PageId) {});
+  ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kShared, 1000).ok());
+  ASSERT_TRUE(fusion_.AcquirePLock(2, page, LockMode::kShared, 1000).ok());
+  // Node 2's upgrade queues behind node 1's S hold (node 1 is negotiated)
+  // and times out.
+  std::thread upgrader([&] {
+    EXPECT_TRUE(
+        fusion_.AcquirePLock(2, page, LockMode::kExclusive, 500).IsBusy());
+  });
+  AwaitNegotiation(negotiations_1_);
+  // Node 3 queues behind node 2; node 2's own S hold does not block the
+  // front waiter (node 2), so nobody asks node 2 to release yet.
+  std::atomic<bool> granted{false};
+  std::thread third([&] {
+    EXPECT_TRUE(
+        fusion_.AcquirePLock(3, page, LockMode::kExclusive, 10'000).ok());
+    granted = true;
+  });
+  upgrader.join();
+  // Node 3 is at the front now and node 2's S hold blocks it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (Negotiations(negotiations_2_).empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(Negotiations(negotiations_2_).size(), 1u);
+  EXPECT_FALSE(granted.load());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(2, page).ok());
+  third.join();
+  EXPECT_TRUE(granted.load());
+  EXPECT_TRUE(fusion_.HoldsPLock(3, page, LockMode::kExclusive));
+}
+
 TEST_F(LockFusionTest, RemoveNodeReleasesSharedKeepsExclusiveGhost) {
   const PageId spage{1, 1}, xpage{1, 2};
   ASSERT_TRUE(fusion_.AcquirePLock(1, spage, LockMode::kShared, 1000).ok());

@@ -112,6 +112,26 @@ TEST_F(PLockLeaseTest, LeaseRevokedByRemoteConflict) {
   b_.Unpin(page);
 }
 
+// Reading a page and then writing it gives the idle S hold back before the
+// X acquire (an upgrade release); only that release is counted as one.
+TEST_F(PLockLeaseTest, ReadThenWriteCountsOneUpgradeRelease) {
+  const PageId page{1, 11};
+  ASSERT_TRUE(b_.Pin(page, LockMode::kShared, 1000).ok());
+  b_.Unpin(page);
+  ASSERT_TRUE(a_.Pin(page, LockMode::kShared, 1000).ok());
+  a_.Unpin(page);
+
+  // a's X acquire negotiates b's S away, after a released its own S.
+  ASSERT_TRUE(a_.Pin(page, LockMode::kExclusive, 5000).ok());
+  a_.Unpin(page);
+  EXPECT_EQ(a_.upgrade_releases(), 1u);
+  EXPECT_EQ(a_.negotiated_releases(), 1u);
+  EXPECT_EQ(b_.upgrade_releases(), 0u);
+  EXPECT_EQ(b_.negotiated_releases(), 1u);
+  EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
+  EXPECT_FALSE(fusion_.HoldsPLock(2, page, LockMode::kShared));
+}
+
 TEST_F(PLockLeaseTest, ReleaseLeaseHandsGrantBack) {
   const PageId page{1, 6};
   ASSERT_TRUE(a_.Pin(page, LockMode::kExclusive, 1000).ok());

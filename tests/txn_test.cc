@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -555,6 +559,80 @@ TEST(WriteViewTest, ReadCommittedWritesSkipTheReadTimestamp) {
   EXPECT_EQ(r.Get(table, 201).value(), "new");
   EXPECT_EQ(r.Get(table, 1).value(), "updated");
   EXPECT_TRUE(r.Get(table, 4).status().IsNotFound());
+  ASSERT_TRUE(r.Commit().ok());
+}
+
+// A thread that holds a page latch while it waits on a log force (the WAL
+// rule during eviction) meets an async commit whose finalization wants that
+// latch for its CTS backfill. The latch holder must lead its own force
+// rather than wait on the thread that runs the finalization; both finish.
+TEST(AsyncCommitLatchTest, LatchHolderForcesWhileBackfillWaitsOnTheLatch) {
+  ClusterOptions opts;
+  opts.node.trx.async_commit = true;
+  opts.node.background_interval_ms = 3'600'000;
+  opts.node.checkpoint_interval_ms = 3'600'000;
+  opts.node.lbp_flush_interval_ms = 3'600'000;
+  opts.dbp_flush_interval_ms = 3'600'000;
+  auto cluster = Cluster::Create(opts);
+  ASSERT_TRUE(cluster.ok());
+  DbNode* node = cluster.value()->AddNode().value();
+  ASSERT_TRUE(cluster.value()->CreateTable("t").ok());
+  const TableHandle table = node->OpenTable("t").value();
+  // A one-leaf tree: the root is the leaf every row lands on.
+  const PageId leaf{table.info.primary_space, 0};
+  LogWriter* log = node->log_writer();
+
+  // The async commit is acknowledged while its force is held back.
+  log->PauseFlusher();
+  {
+    Session s(node, IsolationLevel::kReadCommitted);
+    ASSERT_TRUE(s.Begin().ok());
+    ASSERT_TRUE(s.Put(table, 1, "v").ok());
+    ASSERT_TRUE(s.Commit().ok());
+  }
+
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!finished.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr, "latch holder and async finalization deadlocked\n");
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+
+  // Latch the leaf as an evictor would, then let the commit's force land:
+  // its finalization now waits on this latch.
+  ASSERT_TRUE(node->plock_manager()->TryPinLocal(leaf, LockMode::kExclusive));
+  BufferPool* lbp = node->buffer_pool();
+  const BufferPool::Handle handle = lbp->TryGetCached(leaf);
+  ASSERT_TRUE(handle.valid());
+  lbp->Latch(handle, LockMode::kExclusive);
+  log->ResumeFlusher();
+  while (log->pending_forces() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // Still holding the latch, force a new record.
+  const Lsn end = log->Add(
+      {MakeLlsnMark(node->id(), node->engine()->llsn->Current())});
+  EXPECT_TRUE(log->Force(end).ok());
+  EXPECT_GE(log->durable_lsn(), end);
+  lbp->Unlatch(handle, LockMode::kExclusive);
+  lbp->Unpin(handle);
+  node->plock_manager()->Unpin(leaf);
+
+  // The finalization ran: a handle completes after every earlier callback.
+  EXPECT_TRUE(log->ForceAllAsync().Wait().ok());
+  finished = true;
+  watchdog.join();
+  Session r(node, IsolationLevel::kReadCommitted);
+  ASSERT_TRUE(r.Begin().ok());
+  EXPECT_EQ(r.Get(table, 1).value(), "v");
   ASSERT_TRUE(r.Commit().ok());
 }
 

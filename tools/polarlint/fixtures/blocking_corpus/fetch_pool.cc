@@ -38,6 +38,14 @@ Status FetchPool::AuditedWarm(BufferFusion* fusion, PageId page) {
   return st;
 }
 
+// A log force parks on the group force (or performs it) with the pool
+// mutex held.
+Status FetchPool::ForceUnderLock(LogWriter* log, Lsn lsn) {
+  MutexLock lock(mu_);
+  ++staged_;
+  return log->Force(lsn);  // polarlint-fixture-expect: blocking-under-lock
+}
+
 // The cv idiom: the wait releases mu_ (its own mutex) while parked, so no
 // foreign lock is held across the block.
 long FetchPool::WaitForSlot() {

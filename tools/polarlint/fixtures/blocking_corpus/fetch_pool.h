@@ -6,6 +6,7 @@
 #include "common/lock_rank.h"
 #include "common/status.h"
 #include "pmfs/buffer_fusion.h"
+#include "wal/log_writer.h"
 
 namespace polarmp {
 
@@ -18,6 +19,7 @@ class FetchPool {
   Status WarmOutside(BufferFusion* fusion, PageId page);
   Status WarmViaHelper(BufferFusion* fusion, PageId page);
   Status EvictVictim(BufferFusion* fusion, PageId page);
+  Status ForceUnderLock(LogWriter* log, Lsn lsn);
 
  private:
   Status FetchInto(BufferFusion* fusion, PageId page);

@@ -16,12 +16,13 @@
 //
 //   blocking-under-lock
 //                   No blocking callee — round-trip fusion RPC verbs, the
-//                   ForceTo/ForceAll log-force shims, sleeps, future/handle
-//                   Wait()s, thread joins, cv waits outside their own-mutex
-//                   idiom — may run while the inbound MUST-hold lockset is
-//                   non-empty. One call level is inlined the same way the
-//                   lock-order pass resolves callees, so a helper that
-//                   blocks is caught at the locked call site. Audited legit
+//                   ForceTo/ForceAll log-force shims, LogWriter::Force,
+//                   sleeps, future/handle Wait()s, thread joins, cv waits
+//                   outside their own-mutex idiom — may run while the
+//                   inbound MUST-hold lockset is non-empty. One call level
+//                   is inlined the same way the lock-order pass resolves
+//                   callees, so a helper that blocks is caught at the
+//                   locked call site. Audited legit
 //                   sites carry `// polarlint: allow(blocking-under-lock)
 //                   <reason>`. One-sided fabric ops (Read/Write/Load64/...)
 //                   are bounded-latency by design and deliberately NOT in
@@ -273,6 +274,7 @@ const BlockingCallee kBlockingCallees[] = {
     {"NotifyPush", "an invalidation fan-out RPC", false},
     {"ForceTo", "a blocking log force", false},
     {"ForceAll", "a blocking log force", false},
+    {"Force", "a blocking log force (leads or follows the group)", true},
     {"sleep_for", "a sleep", false},
     {"sleep_until", "a sleep", false},
     {"Wait", "a blocking future/handle wait", true},

@@ -25,7 +25,7 @@
 //     (maybe-)held, and a manual lock span still held at one return path
 //     but released before another.
 //     blocking-under-lock — a blocking callee (round-trip fusion RPC verbs,
-//     ForceTo/ForceAll, sleeps, future/handle Wait, thread join, cv waits
+//     ForceTo/ForceAll/Force, sleeps, future/handle Wait, thread join, cv waits
 //     beyond their own-mutex idiom) issued while the inbound must-hold
 //     lockset is non-empty; one callee level is inlined.
 //     status-defuse — a Status defined from a fabric verb that is
