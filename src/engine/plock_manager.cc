@@ -16,12 +16,11 @@ Status PLockManager::Pin(PageId page, LockMode mode, uint64_t timeout_ms) {
     if (e.held && Sufficient(e.mode, mode)) {
       if (e.release_requested) {
         // Fusion fairness: a negotiated hold cannot grant locally; wait for
-        // the release to complete, then acquire fresh behind the FIFO queue.
+        // the answer (a release, or a downgrade that keeps S), then retry.
         if (e.refs == 0 && !e.acquiring) {
-          // Nothing will trigger the release (the last Unpin predated the
+          // Nothing will trigger the answer (the last Unpin predated the
           // negotiation); run it from here.
-          e.releasing = true;
-          ReleaseLocked(page, /*run_hook=*/true);
+          AnswerNegotiationLocked(page);
         } else {
           cv_.wait(lock);
         }
@@ -41,20 +40,25 @@ Status PLockManager::Pin(PageId page, LockMode mode, uint64_t timeout_ms) {
       cv_.wait(lock);
       continue;
     }
-    if (e.held && !Sufficient(e.mode, mode) && e.refs == 0) {
-      // Upgrade of an idle retained hold: give the weak mode back first.
-      // Queuing an in-place upgrade while keeping the S hold deadlocks when
-      // two nodes do it symmetrically (each X waits on the other's S); a
-      // release-then-reacquire serializes cleanly through the FIFO queue.
-      upgrade_releases_.Inc();
-      e.releasing = true;
-      ReleaseLocked(page, /*run_hook=*/true);
-      continue;
+    // Fresh acquire, or X on a held S. An idle S converts in one RPC: Lock
+    // Fusion drops it in the critical section that queues the X, so two
+    // nodes upgrading symmetrically serialize instead of each waiting on
+    // the other's S, and a negotiation pending on the S is answered by the
+    // drop. An S that peers still reference stays while the X queues
+    // beside it (PartialReleaseLocked covers a negotiation meanwhile).
+    const bool convert = e.held && e.refs == 0;
+    if (convert) {
+      upgrades_.Inc();
+      e.held = false;
+      e.release_requested = false;
+      e.downgrade_ok = false;
+      e.leased = false;
     }
-    // Fresh acquire or upgrade (refs held by peers) through Lock Fusion.
     e.acquiring = true;
     lock.unlock();
-    const Status st = fusion_->AcquirePLock(node_, page, mode, timeout_ms);
+    const Status st =
+        convert ? fusion_->UpgradePLock(node_, page, timeout_ms)
+                : fusion_->AcquirePLock(node_, page, mode, timeout_ms);
     fusion_acquires_.Inc();
     lock.lock();
     Entry& e2 = entries_[key];  // may have rehashed
@@ -103,27 +107,35 @@ void PLockManager::Unpin(PageId page) {
   if (e.refs == 0 && (e.release_requested || !lazy_release_) &&
       !e.releasing) {
     if (!e.acquiring) {
-      e.releasing = true;
-      ReleaseLocked(page, /*run_hook=*/true);
-    } else if (e.held) {
+      AnswerNegotiationLocked(page);
+    } else if (e.held && !e.downgrade_ok) {
+      // An S-only request is for the X about to land: the weak hold blocks
+      // no S waiter, and releasing it could release that X too.
       PartialReleaseLocked(page);
     }
   }
   cv_.notify_all();
 }
 
-void PLockManager::OnNegotiate(PageId page) {
+void PLockManager::OnNegotiate(PageId page, LockMode wanted) {
   const uint64_t key = page.Pack();
   MutexLock lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return;  // already released
   Entry& e = it->second;
+  const bool shared_only = wanted == LockMode::kShared;
+  if (shared_only && e.held && e.mode == LockMode::kShared && !e.acquiring) {
+    // Only an X hold blocks an S waiter. This one is S already: the message
+    // predates a downgrade or a fresh S grant, and either made Lock Fusion
+    // re-check its queue.
+    return;
+  }
+  e.downgrade_ok = shared_only && (e.downgrade_ok || !e.release_requested);
   e.release_requested = true;
   if (e.held && e.refs == 0 && !e.releasing) {
     if (!e.acquiring) {
-      e.releasing = true;
-      ReleaseLocked(page, /*run_hook=*/true);
-    } else {
+      AnswerNegotiationLocked(page);
+    } else if (!e.downgrade_ok) {
       PartialReleaseLocked(page);
     }
   }
@@ -206,13 +218,7 @@ void PLockManager::ReleaseLocked(PageId page, bool run_hook) {
     // Doorbell batch: the hook's dirty-push NotifyPush and the release RPC
     // ride one fabric operation.
     RpcBatch batch(fusion_->fabric(), node_, kPmfsEndpoint);
-    if (run_hook && before_release_) {
-      const Status s = before_release_(page);
-      if (!s.ok()) {
-        POLARMP_LOG(Warn) << "before-release hook failed for page "
-                          << page.ToString() << ": " << s.ToString();
-      }
-    }
+    if (run_hook) PushBeforeRelease(page);
     const Status s = fusion_->ReleasePLock(node_, page);
     if (!s.ok() && !s.IsNotFound()) {
       POLARMP_LOG(Warn) << "PLock release failed: " << s.ToString();
@@ -223,19 +229,68 @@ void PLockManager::ReleaseLocked(PageId page, bool run_hook) {
   cv_.notify_all();
 }
 
+void PLockManager::PushBeforeRelease(PageId page) {
+  if (!before_release_) return;
+  const Status s = before_release_(page);
+  if (!s.ok()) {
+    POLARMP_LOG(Warn) << "before-release hook failed for page "
+                      << page.ToString() << ": " << s.ToString();
+  }
+}
+
+void PLockManager::AnswerNegotiationLocked(PageId page) {
+  Entry& e = entries_[page.Pack()];
+  e.releasing = true;
+  if (lazy_release_ && e.downgrade_ok && e.mode == LockMode::kExclusive) {
+    DowngradeLocked(page);
+  } else {
+    ReleaseLocked(page, /*run_hook=*/true);
+  }
+}
+
+void PLockManager::DowngradeLocked(PageId page) {
+  downgrades_.Inc();
+  Entry& e = entries_[page.Pack()];
+  // This answers every request so far; one that arrives during the RPC is
+  // a new one.
+  e.release_requested = false;
+  e.downgrade_ok = false;
+  mu_.unlock();
+  Status s;
+  {
+    // Doorbell batch, as in ReleaseLocked: the push and the downgrade ride
+    // one fabric operation.
+    RpcBatch batch(fusion_->fabric(), node_, kPmfsEndpoint);
+    PushBeforeRelease(page);
+    s = fusion_->DowngradePLock(node_, page);
+  }
+  mu_.lock();
+  Entry& e2 = entries_[page.Pack()];
+  e2.releasing = false;
+  if (s.ok()) {
+    e2.mode = LockMode::kShared;
+  } else {
+    // Lock Fusion may still record X: give the whole hold back instead.
+    POLARMP_LOG(Warn) << "PLock downgrade failed: " << s.ToString();
+    e2.release_requested = true;
+    e2.downgrade_ok = false;
+  }
+  // Pins waited on `releasing`, so the hold is still idle.
+  if (e2.release_requested) AnswerNegotiationLocked(page);
+  cv_.notify_all();
+}
+
 void PLockManager::PartialReleaseLocked(PageId page) {
   Entry& e = entries_[page.Pack()];
   e.releasing = true;
+  // This answers the request; one that arrives during the RPC is for the
+  // acquire landing meanwhile and must survive it.
+  e.release_requested = false;
+  e.downgrade_ok = false;
   mu_.unlock();
   {
     RpcBatch batch(fusion_->fabric(), node_, kPmfsEndpoint);
-    if (before_release_) {
-      const Status s = before_release_(page);
-      if (!s.ok()) {
-        POLARMP_LOG(Warn) << "before-release hook failed for page "
-                          << page.ToString() << ": " << s.ToString();
-      }
-    }
+    PushBeforeRelease(page);
     const Status s = fusion_->ReleasePLock(node_, page);
     if (!s.ok() && !s.IsNotFound()) {
       POLARMP_LOG(Warn) << "partial PLock release failed: " << s.ToString();
@@ -244,14 +299,16 @@ void PLockManager::PartialReleaseLocked(PageId page) {
   mu_.lock();
   Entry& e2 = entries_[page.Pack()];
   e2.releasing = false;
-  e2.release_requested = false;
   if (e2.acquiring) {
     // The queued acquire has not landed yet; we no longer hold anything.
     e2.held = false;
     e2.mode = LockMode::kShared;
+  } else if (e2.refs == 0 && (e2.release_requested || !lazy_release_)) {
+    // The queued acquire landed and its last Unpin came while we released,
+    // so that Unpin (or a negotiation for the fresh hold) left the answer
+    // to us.
+    AnswerNegotiationLocked(page);
   }
-  // else: the queued acquire was granted while we released — its fresh
-  // hold stands; leave it untouched.
   cv_.notify_all();
 }
 
@@ -271,6 +328,7 @@ std::string PLockManager::DebugDump() const {
            " mode=" + (e.mode == LockMode::kExclusive ? "X" : "S") +
            " refs=" + std::to_string(e.refs) +
            " rel_req=" + std::to_string(e.release_requested) +
+           " down_ok=" + std::to_string(e.downgrade_ok) +
            " acq=" + std::to_string(e.acquiring) +
            " rel=" + std::to_string(e.releasing) +
            " leased=" + std::to_string(e.leased) + "\n";

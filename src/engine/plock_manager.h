@@ -20,9 +20,11 @@ namespace polarmp {
 // When Lock Fusion sends a negotiation message (another node wants a
 // conflicting mode), new local grants are refused — "it must communicate
 // with Lock Fusion, which manages the granting of locks in FIFO order" —
-// and the hold is released once the reference count drains, after the
+// and the hold is answered once the reference count drains, after the
 // dirty page (if any) has been pushed to the DBP by the before-release
-// hook.
+// hook. An X hold asked only for S downgrades to S and keeps its frame, so
+// the node's next read is a local grant; any other request gives the hold
+// back.
 class PLockManager {
  public:
   // `lazy_release` enables the paper's lazy releasing (§4.3.1); disabling
@@ -40,7 +42,9 @@ class PLockManager {
     before_release_ = std::move(hook);
   }
 
-  // Acquires (or locally re-grants) the PLock and takes a reference.
+  // Acquires (or locally re-grants) the PLock and takes a reference. X on
+  // an idle retained S is one conversion RPC (LockFusion::UpgradePLock);
+  // while other threads still reference the S, the X is queued beside it.
   // CALLER RULE: do not hold a reference on `page` while requesting a
   // stronger mode for it (pick the final mode before pinning).
   Status Pin(PageId page, LockMode mode, uint64_t timeout_ms);
@@ -53,8 +57,9 @@ class PLockManager {
   // Drops a reference; triggers the negotiated release when it drains.
   void Unpin(PageId page);
 
-  // Lock Fusion negotiation callback (registered via LockFusion::AddNode).
-  void OnNegotiate(PageId page);
+  // Lock Fusion negotiation callback (registered via LockFusion::AddNode);
+  // `wanted` is the mode the remote waiter asks for.
+  void OnNegotiate(PageId page, LockMode wanted);
 
   // Eviction support: releases the node's hold entirely. Returns Busy if
   // the page has references or an acquire in flight (pick another victim).
@@ -91,9 +96,11 @@ class PLockManager {
   uint64_t negotiated_releases() const {
     return negotiated_releases_.Value();
   }
-  // The subset of negotiated_releases() that gave an idle S hold back so
-  // this node could acquire X (read-then-write on one page).
-  uint64_t upgrade_releases() const { return upgrade_releases_.Value(); }
+  // S→X conversions of an idle retained S (read-then-write on one page),
+  // each one fusion RPC; counted in fusion_acquires() too.
+  uint64_t upgrades() const { return upgrades_.Value(); }
+  // X→S conversions answering a negotiation that asked only for S.
+  uint64_t downgrades() const { return downgrades_.Value(); }
   uint64_t lease_demotes() const { return lease_demotes_.Value(); }
   uint64_t lease_regrants() const { return lease_regrants_.Value(); }
 
@@ -103,6 +110,10 @@ class PLockManager {
     LockMode mode = LockMode::kShared;
     uint32_t refs = 0;
     bool release_requested = false;
+    // Every negotiation pending since the last answer asked only for S: an
+    // X hold may answer by downgrading. Meaningless without
+    // release_requested.
+    bool downgrade_ok = false;
     bool acquiring = false;
     bool releasing = false;
     // Idle hold kept because the index cache holds the page (see
@@ -123,13 +134,31 @@ class PLockManager {
   // and the hook would deadlock waiting on it).
   void ReleaseLocked(PageId page, bool run_hook) REQUIRES(mu_);
 
+  // Runs the before-release hook with mu_ dropped; a failed push is logged
+  // and the release or downgrade goes ahead.
+  void PushBeforeRelease(PageId page);
+
+  // Answers the pending negotiation (or, with lazy releasing off, the
+  // drained reference count) on an idle hold: held, refs==0, no acquire or
+  // release in flight. Downgrades an X asked only for S, else releases.
+  void AnswerNegotiationLocked(PageId page) REQUIRES(mu_);
+
+  // Pushes the dirty page and converts the X hold to S at Lock Fusion,
+  // keeping the hold and the LBP frame. Same drop-and-reacquire shape as
+  // ReleaseLocked, with releasing already set. A request that arrives
+  // during the RPC (a remote X behind the S just granted) is answered
+  // before returning.
+  void DowngradeLocked(PageId page) REQUIRES(mu_);
+
   // Gives the held mode back to Lock Fusion while an acquire for a
   // stronger mode is still queued there: the entry survives (held=false)
   // so the acquiring thread keeps its bookkeeping. Without this, a
   // negotiated release requested while refs==0 and acquiring==true would
   // never run — the lazily-retained weak hold then deadlocks the fusion
   // FIFO (our own queued upgrade waits behind the waiter our hold blocks).
-  // Same drop-and-reacquire shape as ReleaseLocked.
+  // Same drop-and-reacquire shape as ReleaseLocked. A negotiation for the
+  // stronger hold that lands during the RPC is kept, and answered before
+  // returning if that hold is already idle.
   void PartialReleaseLocked(PageId page) REQUIRES(mu_);
 
   const NodeId node_;
@@ -145,7 +174,8 @@ class PLockManager {
   obs::Counter local_grants_{"plock.local_grants"};
   obs::Counter fusion_acquires_{"plock.fusion_acquires"};
   obs::Counter negotiated_releases_{"plock.negotiated_releases"};
-  obs::Counter upgrade_releases_{"plock.upgrade_releases"};
+  obs::Counter upgrades_{"plock.upgrades"};
+  obs::Counter downgrades_{"plock.downgrades"};
   obs::Counter lease_demotes_{"plock.lease_demotes"};
   obs::Counter lease_regrants_{"plock.lease_regrants"};
 };

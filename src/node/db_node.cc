@@ -98,8 +98,9 @@ Status DbNode::Start(bool run_recovery) {
   POLARMP_RETURN_IF_ERROR(services_.tit->AddNode(id_, epoch << 20));
   services_.tit->MarkDeparted(id_, false);
   POLARMP_RETURN_IF_ERROR(services_.undo->AddNode(id_));
-  services_.lock_fusion->AddNode(
-      id_, [this](PageId page) { plock_.OnNegotiate(page); });
+  services_.lock_fusion->AddNode(id_, [this](PageId page, LockMode wanted) {
+    plock_.OnNegotiate(page, wanted);
+  });
   services_.buffer_fusion->AddNode(id_);
 
   if (run_recovery) {

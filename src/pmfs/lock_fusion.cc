@@ -13,7 +13,7 @@ void LockFusion::AddNode(NodeId node, NegotiateHandler handler) {
 }
 
 void LockFusion::RemoveNode(NodeId node) {
-  std::vector<std::pair<PageId, NodeId>> to_negotiate;
+  std::vector<Negotiation> to_negotiate;
   {
     MutexLock lock(mu_);
     nodes_.erase(node);
@@ -29,9 +29,7 @@ void LockFusion::RemoveNode(NodeId node) {
       for (auto& w : entry.queue) {
         if (w->node == node) w->failed = true;
       }
-      std::vector<NodeId> targets;
-      TryGrant(PageId::Unpack(key), &entry, &targets);
-      for (NodeId t : targets) to_negotiate.emplace_back(PageId::Unpack(key), t);
+      TryGrant(PageId::Unpack(key), &entry, &to_negotiate);
     }
     // Row-lock waits originated by the crashed node's transactions die with
     // their worker threads.
@@ -56,31 +54,18 @@ void LockFusion::RemoveNode(NodeId node) {
     }
     cv_.notify_all();
   }
-  for (auto& [page, target] : to_negotiate) {
-    NegotiateHandler handler;
-    {
-      MutexLock lock(mu_);
-      auto it = nodes_.find(target);
-      if (it == nodes_.end()) continue;
-      handler = it->second;
-    }
-    handler(page);
-  }
+  SendNegotiations(to_negotiate);
 }
 
 void LockFusion::ReleaseAllHolds(NodeId node) {
-  std::vector<std::pair<PageId, NodeId>> to_negotiate;
+  std::vector<Negotiation> to_negotiate;
   {
     MutexLock lock(mu_);
     for (auto it = plocks_.begin(); it != plocks_.end();) {
       PLockEntry& entry = it->second;
       entry.holders.erase(node);
       entry.negotiated.erase(node);
-      std::vector<NodeId> targets;
-      TryGrant(PageId::Unpack(it->first), &entry, &targets);
-      for (NodeId t : targets) {
-        to_negotiate.emplace_back(PageId::Unpack(it->first), t);
-      }
+      TryGrant(PageId::Unpack(it->first), &entry, &to_negotiate);
       if (entry.holders.empty() && entry.queue.empty()) {
         it = plocks_.erase(it);
       } else {
@@ -88,16 +73,7 @@ void LockFusion::ReleaseAllHolds(NodeId node) {
       }
     }
   }
-  for (auto& [page, target] : to_negotiate) {
-    NegotiateHandler handler;
-    {
-      MutexLock lock(mu_);
-      auto it = nodes_.find(target);
-      if (it == nodes_.end()) continue;
-      handler = it->second;
-    }
-    handler(page);
-  }
+  SendNegotiations(to_negotiate);
 }
 
 bool LockFusion::CanGrant(const PLockEntry& entry, const PLockWaiter& w) {
@@ -109,8 +85,7 @@ bool LockFusion::CanGrant(const PLockEntry& entry, const PLockWaiter& w) {
 }
 
 void LockFusion::TryGrant(PageId page, PLockEntry* entry,
-                          std::vector<NodeId>* negotiate_targets) {
-  (void)page;
+                          std::vector<Negotiation>* negotiations) {
   bool granted_any = false;
   while (!entry->queue.empty()) {
     auto w = entry->queue.front();
@@ -130,6 +105,8 @@ void LockFusion::TryGrant(PageId page, PLockEntry* entry,
   if (!entry->queue.empty()) {
     // Front waiter is blocked: ask every conflicting holder (once) to give
     // the lock back when its local references drain (§4.3.1 negotiation).
+    // The message names the mode wanted, so an X holder asked for S can
+    // downgrade instead of releasing.
     const auto& front = *entry->queue.front();
     for (const auto& [holder, mode] : entry->holders) {
       if (holder == front.node) continue;
@@ -137,7 +114,7 @@ void LockFusion::TryGrant(PageId page, PLockEntry* entry,
       if (entry->negotiated[holder]) continue;
       entry->negotiated[holder] = true;
       negotiations_sent_.Inc();
-      negotiate_targets->push_back(holder);
+      negotiations->push_back({page, holder, front.mode});
     }
   }
   if (granted_any) cv_.notify_all();
@@ -150,12 +127,24 @@ Status LockFusion::AcquirePLock(NodeId node, PageId page, LockMode mode,
   const uint64_t request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
   return RetryTransient(fabric_, [&] {
-    return AcquirePLockRpc(node, page, mode, timeout_ms, request_id);
+    return AcquirePLockRpc(node, page, mode, /*convert=*/false, timeout_ms,
+                           request_id);
+  });
+}
+
+Status LockFusion::UpgradePLock(NodeId node, PageId page,
+                                uint64_t timeout_ms) {
+  const uint64_t request_id =
+      next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  return RetryTransient(fabric_, [&] {
+    return AcquirePLockRpc(node, page, LockMode::kExclusive, /*convert=*/true,
+                           timeout_ms, request_id);
   });
 }
 
 Status LockFusion::AcquirePLockRpc(NodeId node, PageId page, LockMode mode,
-                                   uint64_t timeout_ms, uint64_t request_id) {
+                                   bool convert, uint64_t timeout_ms,
+                                   uint64_t request_id) {
   POLARMP_RETURN_IF_ERROR(
       fabric_->InjectRpcFault(node, kPmfsEndpoint, FaultOp::kRpcRequest));
   if (auto hit = dedup_.Lookup(node, request_id)) {
@@ -165,7 +154,8 @@ Status LockFusion::AcquirePLockRpc(NodeId node, PageId page, LockMode mode,
     fabric_->ChargeRpc(node, kPmfsEndpoint);
     return *hit;
   }
-  const Status result = AcquirePLockImpl(node, page, mode, timeout_ms);
+  const Status result =
+      AcquirePLockImpl(node, page, mode, convert, timeout_ms);
   dedup_.Record(node, request_id, result);
   POLARMP_RETURN_IF_ERROR(
       fabric_->InjectRpcFault(node, kPmfsEndpoint, FaultOp::kRpcReply));
@@ -173,7 +163,7 @@ Status LockFusion::AcquirePLockRpc(NodeId node, PageId page, LockMode mode,
 }
 
 Status LockFusion::AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
-                                    uint64_t timeout_ms) {
+                                    bool convert, uint64_t timeout_ms) {
   plock_acquire_rpcs_.Inc();
   // Request arrival to grant/timeout: the PLock wait time of §4.3.1
   // (covers the negotiate -> release -> grant round when contended).
@@ -183,7 +173,7 @@ Status LockFusion::AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
   waiter->node = node;
   waiter->mode = mode;
 
-  std::vector<NodeId> targets;
+  std::vector<Negotiation> negotiations;
   {
     UniqueLock lock(mu_);
     PLockEntry& entry = plocks_[page.Pack()];
@@ -192,16 +182,22 @@ Status LockFusion::AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
         (held->second == LockMode::kExclusive || held->second == mode)) {
       return Status::OK();  // already holds a sufficient mode
     }
+    if (convert && held != entry.holders.end()) {
+      // The S goes in the critical section that queues the X: waiters it
+      // blocked are granted first, and no peer's upgrade can wait on it.
+      entry.holders.erase(held);
+      entry.negotiated.erase(node);
+    }
     entry.queue.push_back(waiter);
-    TryGrant(page, &entry, &targets);
+    TryGrant(page, &entry, &negotiations);
   }
-  SendNegotiations(page, targets);
+  SendNegotiations(negotiations);
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   bool timed_out = false;
   std::string holders;
-  targets.clear();
+  negotiations.clear();
   {
     UniqueLock lock(mu_);
     while (!waiter->granted && !waiter->failed) {
@@ -218,7 +214,7 @@ Status LockFusion::AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
           }
           // The waiter behind this one is now at the front: the holders
           // that block it must hear about it.
-          TryGrant(page, &it->second, &targets);
+          TryGrant(page, &it->second, &negotiations);
         }
       }
     }
@@ -228,7 +224,7 @@ Status LockFusion::AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
                  : Status::OK();
     }
   }
-  SendNegotiations(page, targets);
+  SendNegotiations(negotiations);
   POLARMP_LOG(Warn) << "PLock timeout: node " << node << " wanted "
                     << (mode == LockMode::kExclusive ? "X" : "S")
                     << " on page " << page.ToString() << "; holders: "
@@ -265,7 +261,7 @@ Status LockFusion::ReleasePLockRpc(NodeId node, PageId page,
 Status LockFusion::ReleasePLockImpl(NodeId node, PageId page) {
   plock_release_rpcs_.Inc();
   fabric_->ChargeRpc(node, kPmfsEndpoint);
-  std::vector<NodeId> targets;
+  std::vector<Negotiation> negotiations;
   {
     MutexLock lock(mu_);
     auto it = plocks_.find(page.Pack());
@@ -277,26 +273,59 @@ Status LockFusion::ReleasePLockImpl(NodeId node, PageId page) {
       return Status::NotFound("node does not hold PLock: " + page.ToString());
     }
     entry.negotiated.erase(node);
-    TryGrant(page, &entry, &targets);
+    TryGrant(page, &entry, &negotiations);
     if (entry.holders.empty() && entry.queue.empty()) {
       plocks_.erase(it);
     }
   }
-  SendNegotiations(page, targets);
+  SendNegotiations(negotiations);
   return Status::OK();
 }
 
-void LockFusion::SendNegotiations(PageId page,
-                                  const std::vector<NodeId>& targets) {
-  for (NodeId t : targets) {
+Status LockFusion::DowngradePLock(NodeId node, PageId page) {
+  // Idempotent, so a retransmit re-executes: after a lost reply it finds
+  // the node at S and changes nothing.
+  return RetryTransient(fabric_, [&] {
+    POLARMP_RETURN_IF_ERROR(
+        fabric_->InjectRpcFault(node, kPmfsEndpoint, FaultOp::kRpcRequest));
+    POLARMP_RETURN_IF_ERROR(DowngradePLockImpl(node, page));
+    return fabric_->InjectRpcFault(node, kPmfsEndpoint, FaultOp::kRpcReply);
+  });
+}
+
+Status LockFusion::DowngradePLockImpl(NodeId node, PageId page) {
+  plock_downgrade_rpcs_.Inc();
+  fabric_->ChargeRpc(node, kPmfsEndpoint);
+  std::vector<Negotiation> negotiations;
+  {
+    MutexLock lock(mu_);
+    auto it = plocks_.find(page.Pack());
+    if (it == plocks_.end()) return Status::OK();
+    PLockEntry& entry = it->second;
+    auto held = entry.holders.find(node);
+    if (held == entry.holders.end() || held->second != LockMode::kExclusive) {
+      return Status::OK();
+    }
+    held->second = LockMode::kShared;
+    // The S is a fresh hold: a later X waiter must negotiate it anew.
+    entry.negotiated.erase(node);
+    TryGrant(page, &entry, &negotiations);
+  }
+  SendNegotiations(negotiations);
+  return Status::OK();
+}
+
+void LockFusion::SendNegotiations(
+    const std::vector<Negotiation>& negotiations) {
+  for (const Negotiation& n : negotiations) {
     NegotiateHandler handler;
     {
       MutexLock lock(mu_);
-      auto it = nodes_.find(t);
+      auto it = nodes_.find(n.holder);
       if (it == nodes_.end()) continue;
       handler = it->second;
     }
-    handler(page);
+    handler(n.page, n.wanted);
   }
 }
 
@@ -432,6 +461,7 @@ std::string LockFusion::DebugDump() const {
 void LockFusion::ResetCounters() {
   plock_acquire_rpcs_.Reset();
   plock_release_rpcs_.Reset();
+  plock_downgrade_rpcs_.Reset();
   negotiations_sent_.Reset();
   rlock_waits_.Reset();
   deadlocks_detected_.Reset();

@@ -25,7 +25,10 @@ namespace polarmp {
 //    FIFO waiter queue. Nodes retain released locks locally ("lazy
 //    releasing"); when another node's request conflicts, Lock Fusion sends
 //    the holder a *negotiation message* asking it to hand the lock back
-//    once its local reference count drains.
+//    once its local reference count drains. A retained hold changes mode
+//    in place: an idle S converts to X in one round trip (UpgradePLock),
+//    and an X holder asked only for S drops to S (DowngradePLock) instead
+//    of giving the page up.
 //
 //  * RLock (§4.3.2, Fig. 6) — row-lock metadata is embedded in the rows
 //    themselves; Lock Fusion only keeps the wait-for relation. A blocked
@@ -37,10 +40,13 @@ namespace polarmp {
 class LockFusion {
  public:
   // Delivered to the holding node when another node wants a conflicting
-  // PLock; the node must release once its reference count reaches zero.
-  // Invoked WITHOUT LockFusion's internal mutex held; the handler may call
-  // back into ReleasePLock.
-  using NegotiateHandler = std::function<void(PageId page)>;
+  // PLock; the node must answer once its reference count reaches zero.
+  // `wanted` is the mode the blocked front waiter asks for: kShared lets an
+  // X holder answer with DowngradePLock and keep reading locally, kExclusive
+  // asks for the whole hold back (ReleasePLock). Invoked WITHOUT
+  // LockFusion's internal mutex held; the handler may call back into
+  // ReleasePLock or DowngradePLock.
+  using NegotiateHandler = std::function<void(PageId page, LockMode wanted)>;
 
   explicit LockFusion(Fabric* fabric) : fabric_(fabric) {}
 
@@ -71,9 +77,23 @@ class LockFusion {
   // (the lost-reply case) instead of granting twice.
   Status AcquirePLock(NodeId node, PageId page, LockMode mode,
                       uint64_t timeout_ms);
+  // S→X conversion of the node's idle S hold in one round trip: the S is
+  // dropped and the X queued in the same critical section, so two nodes
+  // upgrading the same page serialize through the FIFO instead of each
+  // waiting on the other's S. Blocks like AcquirePLock and dedups
+  // retransmits the same way; on any failure the node holds nothing.
+  // (AcquirePLock on a held page is the upgrade that KEEPS the S, for a
+  // node whose S still has local references.)
+  Status UpgradePLock(NodeId node, PageId page, uint64_t timeout_ms);
   // Gives the node's hold back entirely (called when the local reference
   // count is zero and a negotiation asked for the page, or on eviction).
   Status ReleasePLock(NodeId node, PageId page);
+  // X→S conversion in place: the answer to a negotiation that asked only
+  // for S, after the node pushed its dirty image. The node keeps a plain S
+  // hold (RemoveNode frees it at once) and S waiters are granted. A node
+  // holding S or nothing is left as is, so a retransmit is harmless and
+  // carries no request id.
+  Status DowngradePLock(NodeId node, PageId page);
 
   // True if fusion records `node` as holding `page` at ≥ `mode`.
   bool HoldsPLock(NodeId node, PageId page, LockMode mode) const;
@@ -102,6 +122,9 @@ class LockFusion {
   // distributions live in "lock_fusion.{plock,rlock}_wait_ns".
   uint64_t plock_acquire_rpcs() const { return plock_acquire_rpcs_.Value(); }
   uint64_t plock_release_rpcs() const { return plock_release_rpcs_.Value(); }
+  uint64_t plock_downgrade_rpcs() const {
+    return plock_downgrade_rpcs_.Value();
+  }
   uint64_t negotiations_sent() const { return negotiations_sent_.Value(); }
   uint64_t rlock_waits() const { return rlock_waits_.Value(); }
   uint64_t deadlocks_detected() const { return deadlocks_detected_.Value(); }
@@ -113,6 +136,14 @@ class LockFusion {
     LockMode mode;
     bool granted = false;
     bool failed = false;  // node removed while waiting
+  };
+
+  // A negotiation message owed to `holder`: the front waiter on `page` is
+  // blocked by its hold and wants `wanted`.
+  struct Negotiation {
+    PageId page;
+    NodeId holder;
+    LockMode wanted;
   };
 
   struct PLockEntry {
@@ -131,24 +162,28 @@ class LockFusion {
   // RPC wire layer: request-leg fault injection, dedup lookup, execution,
   // outcome recording, reply-leg fault injection. The public stubs retry
   // injected transients around these with the SAME request id.
+  // `convert` selects UpgradePLock: the node's own S is dropped as the X
+  // is queued.
   Status AcquirePLockRpc(NodeId node, PageId page, LockMode mode,
-                         uint64_t timeout_ms, uint64_t request_id);
+                         bool convert, uint64_t timeout_ms,
+                         uint64_t request_id);
   Status ReleasePLockRpc(NodeId node, PageId page, uint64_t request_id);
   // Service bodies (the pre-fault-injection semantics, verbatim).
   Status AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
-                          uint64_t timeout_ms);
+                          bool convert, uint64_t timeout_ms);
   Status ReleasePLockImpl(NodeId node, PageId page);
+  Status DowngradePLockImpl(NodeId node, PageId page);
   Status RegisterWaitImpl(GTrxId waiter, GTrxId holder);
 
-  // Grants as many FIFO waiters as compatibility allows. Returns the pages'
-  // holders that need (new) negotiation messages.
+  // Grants as many FIFO waiters as compatibility allows. Appends the
+  // negotiation messages owed to holders that block the new front waiter.
   void TryGrant(PageId page, PLockEntry* entry,
-                std::vector<NodeId>* negotiate_targets) REQUIRES(mu_);
+                std::vector<Negotiation>* negotiations) REQUIRES(mu_);
   static bool CanGrant(const PLockEntry& entry, const PLockWaiter& w);
   // Delivers the negotiation messages TryGrant asked for. TryGrant has
   // already marked these holders negotiated, so a dropped message strands
   // the hold: every later TryGrant skips it.
-  void SendNegotiations(PageId page, const std::vector<NodeId>& targets)
+  void SendNegotiations(const std::vector<Negotiation>& negotiations)
       EXCLUDES(mu_);
 
   // True if starting from `from` the wait-for chain reaches `target`.
@@ -180,6 +215,7 @@ class LockFusion {
 
   obs::Counter plock_acquire_rpcs_{"lock_fusion.plock_acquire_rpcs"};
   obs::Counter plock_release_rpcs_{"lock_fusion.plock_release_rpcs"};
+  obs::Counter plock_downgrade_rpcs_{"lock_fusion.plock_downgrade_rpcs"};
   obs::Counter negotiations_sent_{"lock_fusion.negotiations_sent"};
   obs::Counter rlock_waits_{"lock_fusion.rlock_waits"};
   obs::Counter deadlocks_detected_{"lock_fusion.deadlocks_detected"};

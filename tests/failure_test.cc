@@ -141,6 +141,54 @@ TEST_F(FailureTest, CrashUnderConcurrentLoadKeepsAcknowledgedWrites) {
   ASSERT_TRUE(check.Commit().ok());
 }
 
+// A node whose X hold was downgraded for a reader crashes holding that S.
+// The downgrade pushed the page first, so the S is a plain S: RemoveNode
+// frees it at once, the survivor's X is granted without a negotiation, and
+// the survivor reads the image the crashed node pushed.
+TEST_F(FailureTest, CrashWithDowngradedSharedHoldLeavesNoGhost) {
+  DbNode* writer = cluster_->AddNode().value();
+  DbNode* survivor = cluster_->AddNode().value();
+  ASSERT_TRUE(cluster_->CreateTable("t").ok());
+  TableHandle wt = writer->OpenTable("t").value();
+  TableHandle st = survivor->OpenTable("t").value();
+  // One row: the root (page 0 of the tablespace) is the leaf.
+  const PageId leaf{wt.primary->space(), 0};
+  LockFusion* fusion = cluster_->lock_fusion();
+  const NodeId writer_id = writer->id();
+  {
+    Session s(writer, IsolationLevel::kReadCommitted);
+    ASSERT_TRUE(s.Begin().ok());
+    ASSERT_TRUE(s.Insert(wt, 1, "pushed").ok());
+    ASSERT_TRUE(s.Commit().ok());
+  }
+  ASSERT_TRUE(fusion->HoldsPLock(writer_id, leaf, LockMode::kExclusive));
+  {
+    Session s(survivor, IsolationLevel::kReadCommitted);
+    ASSERT_TRUE(s.Begin().ok());
+    EXPECT_EQ(s.Get(st, 1).value(), "pushed");
+    ASSERT_TRUE(s.Commit().ok());
+  }
+  EXPECT_EQ(writer->plock_manager()->downgrades(), 1u);
+  EXPECT_TRUE(fusion->HoldsPLock(writer_id, leaf, LockMode::kShared));
+  EXPECT_FALSE(fusion->HoldsPLock(writer_id, leaf, LockMode::kExclusive));
+
+  ASSERT_TRUE(cluster_->CrashNode(writer_id).ok());
+  EXPECT_FALSE(fusion->HoldsPLock(writer_id, leaf, LockMode::kShared));
+  const uint64_t negotiations = fusion->negotiations_sent();
+  {
+    Session s(survivor, IsolationLevel::kReadCommitted);
+    ASSERT_TRUE(s.Begin().ok());
+    EXPECT_EQ(s.Get(st, 1).value(), "pushed");
+    ASSERT_TRUE(s.Update(st, 1, "after").ok());
+    ASSERT_TRUE(s.Commit().ok());
+  }
+  EXPECT_EQ(fusion->negotiations_sent(), negotiations);
+  EXPECT_TRUE(fusion->HoldsPLock(survivor->id(), leaf, LockMode::kExclusive));
+  Session r(survivor, IsolationLevel::kReadCommitted);
+  ASSERT_TRUE(r.Begin().ok());
+  EXPECT_EQ(r.Get(st, 1).value(), "after");
+}
+
 // The headline robustness scenario (ISSUE 8): 3 primaries under load, one
 // crashes, a SURVIVOR takes its state over while the others keep
 // committing — no global halt, zero acknowledged commits lost, and the

@@ -138,7 +138,7 @@ TEST_F(FaultInjectionTest, TornSeqlockedWriteNeverSurfacesMixedImage) {
 
 TEST_F(FaultInjectionTest, LostRpcReplyDedupedNotReExecuted) {
   LockFusion lf(&fabric_);
-  lf.AddNode(1, [](PageId) {});
+  lf.AddNode(1, [](PageId, LockMode) {});
   fabric_.ResetCounters();
   // Lose the REPLY: the service executed, the client retransmits the same
   // request id, and the dedup window answers from the recorded outcome
@@ -157,7 +157,7 @@ TEST_F(FaultInjectionTest, LostRpcReplyDedupedNotReExecuted) {
 
 TEST_F(FaultInjectionTest, LostRpcRequestRetransmittedAndExecutedOnce) {
   LockFusion lf(&fabric_);
-  lf.AddNode(1, [](PageId) {});
+  lf.AddNode(1, [](PageId, LockMode) {});
   fabric_.ResetCounters();
   // Lose the REQUEST: the service never ran, so the retransmit executes it
   // for the first time — no dedup hit.
@@ -171,9 +171,49 @@ TEST_F(FaultInjectionTest, LostRpcRequestRetransmittedAndExecutedOnce) {
   EXPECT_TRUE(lf.ReleasePLock(1, page).ok());
 }
 
+// A conversion whose reply is lost is answered from the dedup window: the
+// retransmit neither drops nor queues anything a second time.
+TEST_F(FaultInjectionTest, LostUpgradeReplyDedupedNotReExecuted) {
+  LockFusion lf(&fabric_);
+  lf.AddNode(1, [](PageId, LockMode) {});
+  const PageId page{1, 11};
+  ASSERT_TRUE(lf.AcquirePLock(1, page, LockMode::kShared, 100).ok());
+  fabric_.ResetCounters();
+  lf.ResetCounters();
+  fabric_.fault_injector()->ScriptFault(FaultOp::kRpcReply,
+                                        FaultKind::kUnavailable, /*count=*/1);
+  ASSERT_TRUE(lf.UpgradePLock(1, page, /*timeout_ms=*/100).ok());
+  EXPECT_EQ(fabric_.rpc_dedup_hits(), 1u);
+  EXPECT_EQ(fabric_.retries(), 1u);
+  EXPECT_EQ(lf.plock_acquire_rpcs(), 1u);  // executed once
+  EXPECT_TRUE(lf.HoldsPLock(1, page, LockMode::kExclusive));
+  EXPECT_TRUE(lf.ReleasePLock(1, page).ok());
+  EXPECT_TRUE(lf.ReleasePLock(1, page).IsNotFound());
+}
+
+// A downgrade is idempotent: the retransmit after a lost reply re-executes,
+// finds the node at S, and leaves it there.
+TEST_F(FaultInjectionTest, LostDowngradeReplyRetransmitIsIdempotent) {
+  LockFusion lf(&fabric_);
+  lf.AddNode(1, [](PageId, LockMode) {});
+  const PageId page{1, 12};
+  ASSERT_TRUE(lf.AcquirePLock(1, page, LockMode::kExclusive, 100).ok());
+  fabric_.ResetCounters();
+  fabric_.fault_injector()->ScriptFault(FaultOp::kRpcReply,
+                                        FaultKind::kUnavailable, /*count=*/1);
+  ASSERT_TRUE(lf.DowngradePLock(1, page).ok());
+  EXPECT_EQ(fabric_.retries(), 1u);
+  EXPECT_EQ(fabric_.rpc_dedup_hits(), 0u);
+  EXPECT_EQ(lf.plock_downgrade_rpcs(), 2u);
+  EXPECT_TRUE(lf.HoldsPLock(1, page, LockMode::kShared));
+  EXPECT_FALSE(lf.HoldsPLock(1, page, LockMode::kExclusive));
+  EXPECT_TRUE(lf.ReleasePLock(1, page).ok());
+  EXPECT_TRUE(lf.ReleasePLock(1, page).IsNotFound());
+}
+
 TEST_F(FaultInjectionTest, RpcTimeoutDegradesToBusyAfterBudget) {
   LockFusion lf(&fabric_);
-  lf.AddNode(1, [](PageId) {});
+  lf.AddNode(1, [](PageId, LockMode) {});
   fabric_.fault_injector()->ScriptFault(FaultOp::kRpcRequest,
                                         FaultKind::kTimeout, /*count=*/100);
   const Status s =

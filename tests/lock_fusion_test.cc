@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "pmfs/lock_fusion.h"
+#include "watchdog.h"
 
 namespace polarmp {
 namespace {
@@ -12,17 +13,27 @@ namespace {
 class LockFusionTest : public ::testing::Test {
  protected:
   LockFusionTest() : fabric_(ZeroLatencyProfile()), fusion_(&fabric_) {
-    fusion_.AddNode(1, [this](PageId p) { Push(&negotiations_1_, p); });
-    fusion_.AddNode(2, [this](PageId p) { Push(&negotiations_2_, p); });
+    fusion_.AddNode(1, [this](PageId p, LockMode wanted) {
+      Push(&negotiations_1_, &wanted_1_, p, wanted);
+    });
+    fusion_.AddNode(2, [this](PageId p, LockMode wanted) {
+      Push(&negotiations_2_, &wanted_2_, p, wanted);
+    });
   }
 
   // Negotiation handlers run on waiter threads while test bodies poll, so
   // the vectors are mutex-guarded.
-  void Push(std::vector<PageId>* v, PageId p) {
+  void Push(std::vector<PageId>* v, std::vector<LockMode>* wanted, PageId p,
+            LockMode mode) {
     std::lock_guard lock(neg_mu_);
     v->push_back(p);
+    wanted->push_back(mode);
   }
   std::vector<PageId> Negotiations(const std::vector<PageId>& v) {
+    std::lock_guard lock(neg_mu_);
+    return v;
+  }
+  std::vector<LockMode> Wanted(const std::vector<LockMode>& v) {
     std::lock_guard lock(neg_mu_);
     return v;
   }
@@ -35,6 +46,8 @@ class LockFusionTest : public ::testing::Test {
   std::mutex neg_mu_;
   std::vector<PageId> negotiations_1_;
   std::vector<PageId> negotiations_2_;
+  std::vector<LockMode> wanted_1_;
+  std::vector<LockMode> wanted_2_;
 };
 
 TEST_F(LockFusionTest, SharedLocksCompatible) {
@@ -92,6 +105,70 @@ TEST_F(LockFusionTest, UpgradeWaitsForOtherSharers) {
   EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
 }
 
+// Both nodes hold S and both convert to X. Each conversion drops its own S
+// as it queues, so the first X is granted once the second conversion drops
+// the S it waited on, and the second X waits only on that X: serial grants,
+// no deadlock.
+TEST_F(LockFusionTest, SymmetricUpgradesSerialize) {
+  const PageId page{1, 1};
+  Watchdog watchdog(std::chrono::seconds(30),
+                    [this] { return fusion_.DebugDump(); });
+  ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kShared, 1000).ok());
+  ASSERT_TRUE(fusion_.AcquirePLock(2, page, LockMode::kShared, 1000).ok());
+  std::thread first([&] {
+    EXPECT_TRUE(fusion_.UpgradePLock(1, page, 10'000).ok());
+  });
+  // Node 1's X is queued behind node 2's S, which is asked for X.
+  AwaitNegotiation(negotiations_2_);
+  EXPECT_EQ(Wanted(wanted_2_)[0], LockMode::kExclusive);
+  EXPECT_FALSE(fusion_.HoldsPLock(1, page, LockMode::kShared));
+  std::atomic<bool> second_granted{false};
+  std::thread second([&] {
+    EXPECT_TRUE(fusion_.UpgradePLock(2, page, 10'000).ok());
+    second_granted = true;
+  });
+  first.join();
+  EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
+  EXPECT_FALSE(fusion_.HoldsPLock(2, page, LockMode::kShared));
+  // Node 2's X now waits on node 1's X alone.
+  AwaitNegotiation(negotiations_1_);
+  EXPECT_FALSE(second_granted.load());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page).ok());
+  second.join();
+  EXPECT_TRUE(fusion_.HoldsPLock(2, page, LockMode::kExclusive));
+  EXPECT_FALSE(fusion_.HoldsPLock(1, page, LockMode::kShared));
+}
+
+// An X holder asked only for S downgrades in place: the S waiter is
+// granted beside it, and the holder keeps a plain S that a later X waiter
+// negotiates afresh.
+TEST_F(LockFusionTest, DowngradeGrantsSharedWaiterAndKeepsShared) {
+  const PageId page{1, 1};
+  fusion_.AddNode(3, [](PageId, LockMode) {});
+  ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kExclusive, 1000).ok());
+  std::thread reader([&] {
+    EXPECT_TRUE(fusion_.AcquirePLock(2, page, LockMode::kShared, 5000).ok());
+  });
+  AwaitNegotiation(negotiations_1_);
+  EXPECT_EQ(Wanted(wanted_1_)[0], LockMode::kShared);
+  ASSERT_TRUE(fusion_.DowngradePLock(1, page).ok());
+  reader.join();
+  EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kShared));
+  EXPECT_FALSE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
+  EXPECT_TRUE(fusion_.HoldsPLock(2, page, LockMode::kShared));
+  EXPECT_EQ(fusion_.plock_downgrade_rpcs(), 1u);
+
+  std::thread writer([&] {
+    EXPECT_TRUE(fusion_.AcquirePLock(3, page, LockMode::kExclusive, 5000).ok());
+  });
+  while (Negotiations(negotiations_1_).size() < 2) std::this_thread::yield();
+  EXPECT_EQ(Wanted(wanted_1_)[1], LockMode::kExclusive);
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(2, page).ok());
+  writer.join();
+  EXPECT_TRUE(fusion_.HoldsPLock(3, page, LockMode::kExclusive));
+}
+
 TEST_F(LockFusionTest, TimeoutReturnsBusy) {
   const PageId page{1, 1};
   ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kExclusive, 1000).ok());
@@ -106,7 +183,7 @@ TEST_F(LockFusionTest, TimeoutReturnsBusy) {
 
 TEST_F(LockFusionTest, FifoOrdering) {
   const PageId page{1, 1};
-  fusion_.AddNode(3, [](PageId) {});
+  fusion_.AddNode(3, [](PageId, LockMode) {});
   ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kExclusive, 1000).ok());
   std::vector<int> grant_order;
   std::mutex mu;
@@ -140,7 +217,7 @@ TEST_F(LockFusionTest, FifoOrdering) {
 // sent again: the hold lingers and the next waiter times out too.
 TEST_F(LockFusionTest, TimeoutForwardsNegotiationsToTheNextWaiter) {
   const PageId page{1, 1};
-  fusion_.AddNode(3, [](PageId) {});
+  fusion_.AddNode(3, [](PageId, LockMode) {});
   ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kShared, 1000).ok());
   ASSERT_TRUE(fusion_.AcquirePLock(2, page, LockMode::kShared, 1000).ok());
   // Node 2's upgrade queues behind node 1's S hold (node 1 is negotiated)

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "engine/plock_manager.h"
+#include "watchdog.h"
 
 namespace polarmp {
 namespace {
@@ -18,8 +21,8 @@ class PLockLeaseTest : public ::testing::Test {
         fusion_(&fabric_),
         a_(1, &fusion_),
         b_(2, &fusion_) {
-    fusion_.AddNode(1, [this](PageId p) { a_.OnNegotiate(p); });
-    fusion_.AddNode(2, [this](PageId p) { b_.OnNegotiate(p); });
+    fusion_.AddNode(1, [this](PageId p, LockMode m) { a_.OnNegotiate(p, m); });
+    fusion_.AddNode(2, [this](PageId p, LockMode m) { b_.OnNegotiate(p, m); });
   }
 
   Fabric fabric_;
@@ -112,24 +115,187 @@ TEST_F(PLockLeaseTest, LeaseRevokedByRemoteConflict) {
   b_.Unpin(page);
 }
 
-// Reading a page and then writing it gives the idle S hold back before the
-// X acquire (an upgrade release); only that release is counted as one.
-TEST_F(PLockLeaseTest, ReadThenWriteCountsOneUpgradeRelease) {
+// Reading a page and then writing it converts the idle S hold to X in one
+// fusion RPC: nothing is released first, and the peer's S is negotiated
+// away behind the conversion.
+TEST_F(PLockLeaseTest, ReadThenWriteIsOneConversionRpc) {
   const PageId page{1, 11};
   ASSERT_TRUE(b_.Pin(page, LockMode::kShared, 1000).ok());
   b_.Unpin(page);
   ASSERT_TRUE(a_.Pin(page, LockMode::kShared, 1000).ok());
   a_.Unpin(page);
+  const uint64_t acquires = fusion_.plock_acquire_rpcs();
+  const uint64_t releases = fusion_.plock_release_rpcs();
 
-  // a's X acquire negotiates b's S away, after a released its own S.
   ASSERT_TRUE(a_.Pin(page, LockMode::kExclusive, 5000).ok());
   a_.Unpin(page);
-  EXPECT_EQ(a_.upgrade_releases(), 1u);
-  EXPECT_EQ(a_.negotiated_releases(), 1u);
-  EXPECT_EQ(b_.upgrade_releases(), 0u);
+  EXPECT_EQ(a_.upgrades(), 1u);
+  EXPECT_EQ(a_.negotiated_releases(), 0u);
+  EXPECT_EQ(b_.upgrades(), 0u);
   EXPECT_EQ(b_.negotiated_releases(), 1u);
+  // a's one conversion, plus b's release answering the negotiation.
+  EXPECT_EQ(fusion_.plock_acquire_rpcs() - acquires, 1u);
+  EXPECT_EQ(fusion_.plock_release_rpcs() - releases, 1u);
   EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
   EXPECT_FALSE(fusion_.HoldsPLock(2, page, LockMode::kShared));
+}
+
+// Uncontended read-then-write: the X costs the one conversion RPC.
+TEST_F(PLockLeaseTest, UncontendedReadThenWriteCostsOneRpc) {
+  const PageId page{1, 12};
+  ASSERT_TRUE(a_.Pin(page, LockMode::kShared, 1000).ok());
+  a_.Unpin(page);
+  const uint64_t rpcs = fabric_.rpcs();
+  ASSERT_TRUE(a_.Pin(page, LockMode::kExclusive, 1000).ok());
+  a_.Unpin(page);
+  EXPECT_EQ(fabric_.rpcs() - rpcs, 1u);
+  EXPECT_EQ(a_.upgrades(), 1u);
+  EXPECT_TRUE(a_.HeldLocally(page, LockMode::kExclusive));
+}
+
+// Both nodes retain S and both write: the conversions serialize through
+// the FIFO (each drops its S as it queues) and every pin is granted.
+TEST_F(PLockLeaseTest, SymmetricReadThenWriteDoesNotDeadlock) {
+  const PageId page{1, 13};
+  Watchdog watchdog(std::chrono::seconds(60), [this] {
+    return fusion_.DebugDump() + a_.DebugDump() + b_.DebugDump();
+  });
+  auto read_then_write = [&](PLockManager* m) {
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(m->Pin(page, LockMode::kShared, 10'000).ok());
+      m->Unpin(page);
+      ASSERT_TRUE(m->Pin(page, LockMode::kExclusive, 10'000).ok());
+      m->Unpin(page);
+    }
+  };
+  std::thread ta([&] { read_then_write(&a_); });
+  std::thread tb([&] { read_then_write(&b_); });
+  ta.join();
+  tb.join();
+  EXPECT_GT(a_.upgrades() + b_.upgrades(), 0u);
+  EXPECT_NE(fusion_.HoldsPLock(1, page, LockMode::kExclusive),
+            fusion_.HoldsPLock(2, page, LockMode::kExclusive));
+}
+
+// An X holder negotiated by an S waiter pushes its page and keeps S: its
+// next S pin is a local grant, and a later remote X revokes the S.
+TEST_F(PLockLeaseTest, SharedWaiterDowngradesExclusiveHolder) {
+  const PageId page{1, 14};
+  int pushes = 0;
+  a_.SetBeforeRelease([&](PageId) {
+    ++pushes;
+    return Status::OK();
+  });
+  ASSERT_TRUE(a_.Pin(page, LockMode::kExclusive, 1000).ok());
+  a_.Unpin(page);
+
+  ASSERT_TRUE(b_.Pin(page, LockMode::kShared, 5000).ok());
+  EXPECT_EQ(a_.downgrades(), 1u);
+  EXPECT_EQ(a_.negotiated_releases(), 0u);
+  EXPECT_EQ(pushes, 1);
+  EXPECT_TRUE(a_.HeldLocally(page, LockMode::kShared));
+  EXPECT_FALSE(a_.HeldLocally(page, LockMode::kExclusive));
+  EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kShared));
+  EXPECT_FALSE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
+
+  const uint64_t local = a_.local_grants();
+  const uint64_t acquires = a_.fusion_acquires();
+  ASSERT_TRUE(a_.Pin(page, LockMode::kShared, 1000).ok());
+  EXPECT_EQ(a_.local_grants(), local + 1);
+  EXPECT_EQ(a_.fusion_acquires(), acquires);
+  a_.Unpin(page);
+  b_.Unpin(page);
+
+  // b converts its S to X; a's downgraded S is negotiated away.
+  ASSERT_TRUE(b_.Pin(page, LockMode::kExclusive, 5000).ok());
+  EXPECT_EQ(a_.negotiated_releases(), 1u);
+  EXPECT_FALSE(a_.HeldLocally(page, LockMode::kShared));
+  EXPECT_FALSE(fusion_.HoldsPLock(1, page, LockMode::kShared));
+  EXPECT_TRUE(fusion_.HoldsPLock(2, page, LockMode::kExclusive));
+  b_.Unpin(page);
+}
+
+// With lazy releasing off there are no retained holds to convert: an X
+// holder asked for S gives the page back, as before.
+TEST_F(PLockLeaseTest, EagerReleaseNeverDowngrades) {
+  const PageId page{1, 15};
+  PLockManager eager(3, &fusion_, /*lazy_release=*/false);
+  fusion_.AddNode(3, [&](PageId p, LockMode m) { eager.OnNegotiate(p, m); });
+  ASSERT_TRUE(eager.Pin(page, LockMode::kExclusive, 1000).ok());
+  std::thread reader([&] {
+    EXPECT_TRUE(a_.Pin(page, LockMode::kShared, 5000).ok());
+  });
+  while (fusion_.negotiations_sent() == 0) std::this_thread::yield();
+  eager.Unpin(page);
+  reader.join();
+  EXPECT_EQ(eager.downgrades(), 0u);
+  EXPECT_FALSE(fusion_.HoldsPLock(3, page, LockMode::kShared));
+  a_.Unpin(page);
+  fusion_.RemoveNode(3);
+}
+
+// A negotiation can reach a node while it partially releases its S for an
+// upgrade that keeps the S: the X lands during that release RPC, is used and
+// unpinned, and a peer asks for it. The request belongs to the new X and
+// must be answered; dropping it left the X stranded until the peer's PLock
+// timeout.
+TEST_F(PLockLeaseTest, NegotiationDuringPartialReleaseIsAnswered) {
+  const PageId page{1, 16};
+  Watchdog watchdog(std::chrono::seconds(60), [this] {
+    return fusion_.DebugDump() + a_.DebugDump() + b_.DebugDump();
+  });
+  ASSERT_TRUE(a_.Pin(page, LockMode::kShared, 1000).ok());
+  a_.Unpin(page);
+  ASSERT_TRUE(b_.Pin(page, LockMode::kShared, 1000).ok());  // ref held below
+
+  auto wait_for = [](const std::function<bool()>& done) {
+    while (!done()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  auto b_requested = [&] {
+    return b_.DebugDump().find("rel_req=1") != std::string::npos;
+  };
+  // a converts: its X queues behind b's S, which is asked for X.
+  std::thread a_writer([&] {
+    ASSERT_TRUE(a_.Pin(page, LockMode::kExclusive, 10'000).ok());
+    a_.Unpin(page);
+  });
+  wait_for(b_requested);
+  // b upgrades while its S is referenced: the X queues beside the S.
+  std::atomic<bool> b_landed{false};
+  std::atomic<bool> b_unpin{false};
+  std::thread b_writer([&] {
+    ASSERT_TRUE(b_.Pin(page, LockMode::kExclusive, 10'000).ok());
+    b_landed = true;
+    wait_for([&] { return b_unpin.load(); });
+    b_.Unpin(page);
+  });
+  wait_for([&] {
+    return fusion_.DebugDump().find("queue[1X 2X") != std::string::npos;
+  });
+
+  // b's last S unpin partially releases. Inside that RPC a is granted X
+  // and negotiated; a releases once its writer unpins, b's X lands, is
+  // unpinned, and a asks for the page again.
+  std::atomic<bool> armed{true};
+  Status again;
+  std::thread a_again;
+  fusion_.AddNode(1, [&](PageId p, LockMode m) {
+    a_.OnNegotiate(p, m);
+    if (!armed.exchange(false)) return;
+    a_writer.join();
+    wait_for([&] { return b_landed.load(); });
+    a_again = std::thread(
+        [&] { again = a_.Pin(page, LockMode::kExclusive, 5000); });
+    wait_for(b_requested);
+    b_unpin = true;
+    b_writer.join();
+  });
+  b_.Unpin(page);
+  a_again.join();
+  ASSERT_TRUE(again.ok()) << again.ToString();
+  EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
+  EXPECT_FALSE(fusion_.HoldsPLock(2, page, LockMode::kShared));
+  a_.Unpin(page);
 }
 
 TEST_F(PLockLeaseTest, ReleaseLeaseHandsGrantBack) {

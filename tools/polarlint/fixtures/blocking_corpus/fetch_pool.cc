@@ -46,6 +46,20 @@ Status FetchPool::ForceUnderLock(LogWriter* log, Lsn lsn) {
   return log->Force(lsn);  // polarlint-fixture-expect: blocking-under-lock
 }
 
+// A PLock conversion is a Lock Fusion round trip like any other.
+Status FetchPool::DowngradeUnderLock(LockFusion* fusion, PageId page) {
+  MutexLock lock(mu_);
+  ++staged_;
+  return fusion->DowngradePLock(1, page);  // polarlint-fixture-expect: blocking-under-lock
+}
+
+// ... unless a `Locked` helper drops mu_ around it.
+Status FetchPool::AnswerReader(LockFusion* fusion, PageId page) {
+  MutexLock lock(mu_);
+  ++staged_;
+  return DowngradeLocked(fusion, page);
+}
+
 // The cv idiom: the wait releases mu_ (its own mutex) while parked, so no
 // foreign lock is held across the block.
 long FetchPool::WaitForSlot() {
@@ -89,6 +103,14 @@ Status FetchPool::FetchInto(BufferFusion* fusion, PageId page) {
 Status FetchPool::DropAndFetch(BufferFusion* fusion, PageId page) {
   mu_.unlock();
   Status st = fusion->FetchPage(1, page, nullptr);
+  mu_.lock();
+  if (st.ok()) ++ready_;
+  return st;
+}
+
+Status FetchPool::DowngradeLocked(LockFusion* fusion, PageId page) {
+  mu_.unlock();
+  Status st = fusion->DowngradePLock(1, page);
   mu_.lock();
   if (st.ok()) ++ready_;
   return st;

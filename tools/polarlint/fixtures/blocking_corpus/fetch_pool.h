@@ -6,6 +6,7 @@
 #include "common/lock_rank.h"
 #include "common/status.h"
 #include "pmfs/buffer_fusion.h"
+#include "pmfs/lock_fusion.h"
 #include "wal/log_writer.h"
 
 namespace polarmp {
@@ -20,10 +21,13 @@ class FetchPool {
   Status WarmViaHelper(BufferFusion* fusion, PageId page);
   Status EvictVictim(BufferFusion* fusion, PageId page);
   Status ForceUnderLock(LogWriter* log, Lsn lsn);
+  Status DowngradeUnderLock(LockFusion* fusion, PageId page);
+  Status AnswerReader(LockFusion* fusion, PageId page);
 
  private:
   Status FetchInto(BufferFusion* fusion, PageId page);
   Status DropAndFetch(BufferFusion* fusion, PageId page) REQUIRES(mu_);
+  Status DowngradeLocked(LockFusion* fusion, PageId page) REQUIRES(mu_);
 
   mutable RankedMutex mu_{LockRank::kTestLow, "fixture.fetch_pool"};
   CondVar cv_;

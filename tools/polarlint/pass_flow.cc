@@ -239,17 +239,18 @@ const char* kGuardTypes[] = {"MutexLock",   "UniqueLock",  "ReaderLock",
                              "scoped_lock", "shared_lock"};
 
 // Verbs whose Status/StatusOr carries the only record of a fault (the
-// retired token rule's list, verbatim — the rule id changed, the protocol
-// did not).
+// retired token rule's list, plus the PLock conversions UpgradePLock and
+// DowngradePLock).
 const char* kStatusVerbs[] = {
     "FetchAdd64",     "CompareSwap64",    "Load64",
     "Store64",        "ReadSeqlocked",    "WriteSeqlocked",
     "RegisterRegion", "DeregisterRegion", "AcquirePLock",
-    "ReleasePLock",   "RegisterWait",     "AwaitHolder",
-    "FetchPage",      "FetchPageVersioned", "PushPage",
-    "RegisterCopy",   "UnregisterCopy",   "NotifyPush",
-    "FlushPages",     "FlushAllDirty",    "ReadSlot",
-    "SetRefRemote",   "InjectRpcFault"};
+    "UpgradePLock",   "ReleasePLock",     "DowngradePLock",
+    "RegisterWait",   "AwaitHolder",      "FetchPage",
+    "FetchPageVersioned", "PushPage",     "RegisterCopy",
+    "UnregisterCopy", "NotifyPush",       "FlushPages",
+    "FlushAllDirty",  "ReadSlot",         "SetRefRemote",
+    "InjectRpcFault"};
 const char* kStatusGated[] = {"Read", "Write"};
 
 // Blocking callees and why they block. method_only entries are too generic
@@ -261,7 +262,9 @@ struct BlockingCallee {
 };
 const BlockingCallee kBlockingCallees[] = {
     {"AcquirePLock", "a round-trip PLock RPC", false},
+    {"UpgradePLock", "a round-trip PLock RPC", false},
     {"ReleasePLock", "a round-trip PLock RPC", false},
+    {"DowngradePLock", "a round-trip PLock RPC", false},
     {"AwaitHolder", "a PLock wait RPC", false},
     {"RegisterWait", "a PLock wait-registration RPC", false},
     {"FetchPage", "a round-trip page-fusion RPC", false},
